@@ -85,24 +85,18 @@ void AdversaryDriver::arm() {
             continue;  // re-arm is a no-op
         const AdversaryConfig& config = attacker.config;
 
-        // Home simulator: node-side personalities live with their
-        // site's shard; operator-side ones with the core.
+        // Node-side personalities need their site to exist.
         const bool nodeSide = config.kind == PersonalityKind::fifo_flooder ||
                               config.kind == PersonalityKind::at_abuser;
-        if (nodeSide) {
-            scenario::UmtsNodeSite* target = site(config.site);
-            if (!target) {
-                attacker.finished = true;
-                ++attacker.stats.skipped;
-                obs::Registry::instance().counter("adversary.skipped").inc();
-                log_.warn() << kindName(config.kind) << " has no site " << config.site
-                            << ", skipped";
-                continue;
-            }
-            attacker.sim = &target->sim();
-        } else {
-            attacker.sim = &fleet_->sim();
+        if (nodeSide && !site(config.site)) {
+            attacker.finished = true;
+            ++attacker.stats.skipped;
+            obs::Registry::instance().counter("adversary.skipped").inc();
+            log_.warn() << kindName(config.kind) << " has no site " << config.site
+                        << ", skipped";
+            continue;
         }
+        attacker.sim = &fleet_->sim();
 
         const sim::SimTime now = fleet_->now();
         if (config.start + config.duration <= now) {

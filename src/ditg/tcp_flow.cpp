@@ -1,5 +1,9 @@
 #include "ditg/tcp_flow.hpp"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "obs/trace.hpp"
 #include "util/bytes.hpp"
 
@@ -177,7 +181,20 @@ ItgTcpRecv::~ItgTcpRecv() {
     // and abort the leftovers so the host can reap them. onClosed is
     // cleared first: abort() finishes the connection, and the erase
     // it would trigger must not run mid-iteration.
-    for (auto& [conn, stream] : streams_) {
+    //
+    // The RSTs go out in (remote address, remote port) order, not in
+    // streams_' pointer order: their order on the wire shifts later
+    // timestamps, so it must not depend on where the heap put each
+    // connection.
+    std::vector<net::TcpConnection*> leftovers;
+    leftovers.reserve(streams_.size());
+    for (const auto& entry : streams_) leftovers.push_back(entry.first);
+    std::sort(leftovers.begin(), leftovers.end(),
+              [](const net::TcpConnection* a, const net::TcpConnection* b) {
+                  return std::pair{a->remoteAddress(), a->remotePort()} <
+                         std::pair{b->remoteAddress(), b->remotePort()};
+              });
+    for (net::TcpConnection* conn : leftovers) {
         conn->onData = nullptr;
         conn->onPeerClosed = nullptr;
         conn->onClosed = nullptr;

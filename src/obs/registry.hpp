@@ -97,11 +97,11 @@ class Histogram {
     std::vector<std::atomic<std::uint64_t>> counts_; ///< bounds_.size() + 1 (overflow)
     std::atomic<std::uint64_t> count_{0};
     /// The sum accumulates in 2^16 fixed point, not double: integer
-    /// addition is associative, so the exported sum is identical no
-    /// matter how observations are grouped across shards and summed
-    /// at merge — double partial sums would drift in the last digit
-    /// with the partition. Quantization is 1/65536 of the observed
-    /// unit; headroom is ~1.4e14 units before int64 overflow.
+    /// addition is associative, so the exported sum does not depend on
+    /// the order observations arrive in, and the committed telemetry
+    /// goldens and digests pin its exact digits. Quantization is
+    /// 1/65536 of the observed unit; headroom is ~1.4e14 units before
+    /// int64 overflow.
     static constexpr double kSumScale = 65536.0;
     std::atomic<std::int64_t> sumScaled_{0};
 };
@@ -119,9 +119,7 @@ struct MetricSample {
 };
 
 /// Serialize samples as the metrics.json document ({"metrics": [...]}).
-/// Registry::snapshotJson() is this applied to snapshot(); the merged
-/// multi-registry export (sharded fleets) reuses it so both paths stay
-/// byte-compatible.
+/// Registry::snapshotJson() is this applied to snapshot().
 [[nodiscard]] std::string metricsJson(const std::vector<MetricSample>& samples);
 
 class Registry;

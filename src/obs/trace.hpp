@@ -21,9 +21,8 @@ struct TraceEvent {
 };
 
 /// Serialize events as a Chrome trace_event JSON document.
-/// Tracer::exportChromeJson() is this applied to events(); the merged
-/// multi-tracer export reuses it. Deterministic: same events in,
-/// byte-identical JSON out.
+/// Tracer::exportChromeJson() is this applied to events().
+/// Deterministic: same events in, byte-identical JSON out.
 [[nodiscard]] std::string chromeTraceJson(const std::vector<TraceEvent>& events);
 
 /// Process-wide sim-time event tracer: a bounded ring buffer of

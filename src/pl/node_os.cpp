@@ -72,7 +72,7 @@ util::Result<net::UdpSocket*> NodeOs::openRootUdp(std::uint16_t port) {
 
 net::TcpHost& NodeOs::tcp() {
     if (!tcp_) {
-        // FNV-1a over the hostname: stable across builds and shards,
+        // FNV-1a over the hostname: stable across builds and runs,
         // so ISS draws and ephemeral ports are a pure function of the
         // node's identity.
         std::uint64_t seed = 1469598103934665603ull;

@@ -149,11 +149,11 @@ class Pppd {
     sim::Simulator& sim_;
     /// Private frame-buffer pool: sendFrame() encodes into these and
     /// hands refcounted slices down the line. Keeping the freelist
-    /// per-pppd (instead of using the shard-shared simulator pool)
-    /// makes its reuse/allocate split deterministic per link, so the
-    /// merged sim.pool.* counters stay byte-identical no matter which
-    /// shard this stack lands on. Declared before the subsystems that
-    /// might hold slices; outstanding slices orphan safely regardless.
+    /// per-pppd (instead of using the simulator's shared pool) makes
+    /// its reuse/allocate split a function of this link alone, so the
+    /// exported sim.pool.* counters stay byte-stable. Declared before
+    /// the subsystems that might hold slices; outstanding slices
+    /// orphan safely regardless.
     sim::BufferPool framePool_;
     PppdConfig config_;
     util::Logger log_;

@@ -23,10 +23,8 @@ enum class Health : std::uint8_t {
 [[nodiscard]] const char* healthName(Health health) noexcept;
 
 /// The two modem recovery verbs the ladder uses, behind an
-/// indirection: in the sharded fleet the modem lives on the core
-/// shard, so the site wires these to cross-shard posts instead of
-/// direct calls. Both verbs are fire-and-forget — deferring them one
-/// cut latency changes timing, never semantics.
+/// indirection so the supervisor does not depend on a modem type
+/// (the site binds them to its card). Both verbs are fire-and-forget.
 struct ModemControl {
     std::function<void()> hardReset;
     std::function<void()> reattach;

@@ -22,9 +22,9 @@ class SharedBytesRecycler {
 };
 
 /// Refcounted heap buffer underlying SharedBytes slices. The refcount
-/// is deliberately non-atomic: a slice never crosses shard threads
-/// (cross-shard pipes copy into plain per-shard buffers instead), so
-/// every ref/unref happens on the owning shard.
+/// is deliberately non-atomic: a slice never leaves the thread that
+/// runs its simulator (each `--jobs` run owns its whole world), so
+/// every ref/unref happens on one thread.
 class SharedBytesCore {
   public:
     Bytes data;

@@ -230,6 +230,35 @@ TEST_F(TcpSendRecvTest, ReceiverDestroyedMidFlowAbortsItsConnections) {
     EXPECT_EQ(receiverTcp->connectionCount(), 0u);
 }
 
+TEST_F(TcpSendRecvTest, ReceiverTeardownAbortsInRemoteAddressAndPortOrder) {
+    // The receiver allocates and accepts the 10.0.0.3 connection
+    // first, then two from 10.0.0.1. Its RSTs must still leave in
+    // (remote address, remote port) order: the order they take on the
+    // wire shifts every later timestamp, so it may not follow
+    // allocation (heap address) or accept order.
+    net::NetworkStack* late = makeHost("tx2", net::Ipv4Address{10, 0, 0, 3});
+    net::TcpHost lateTcp{sim, *late, util::RandomStream{23}};
+    auto recv = std::make_unique<ItgTcpRecv>(sim, *receiverTcp, 9002);
+
+    std::vector<std::string> resetOrder;
+    const auto open = [&](net::TcpHost& host, const std::string& tag) {
+        net::TcpConnection* conn = host.connect(net::Ipv4Address{10, 0, 0, 2}, 9002);
+        conn->onClosed = [&resetOrder, tag] { resetOrder.push_back(tag); };
+        sim.runUntil(sim.now() + seconds(0.5));  // established and accepted
+        EXPECT_TRUE(conn->isEstablished()) << tag;
+    };
+    open(lateTcp, "10.0.0.3:42000");
+    open(*senderTcp, "10.0.0.1:42000");
+    open(*senderTcp, "10.0.0.1:42001");
+    ASSERT_EQ(recv->connectionsAccepted(), 3u);
+
+    recv.reset();
+    sim.runUntil(sim.now() + seconds(1.0));
+    const std::vector<std::string> expected{"10.0.0.1:42000", "10.0.0.1:42001",
+                                            "10.0.0.3:42000"};
+    EXPECT_EQ(resetOrder, expected);
+}
+
 TEST_F(TcpSendRecvTest, SenderDestroyedMidFlowLeavesNoLiveTimers) {
     ItgTcpRecv recv{sim, *receiverTcp, 9002};
     auto send = std::make_unique<ItgTcpSend>(sim, *senderTcp,

@@ -55,6 +55,22 @@ TEST(FlightRecorder, TruncatesTextIntoInlineFieldsWithoutAllocating) {
     EXPECT_EQ(entry.categoryView(), std::string(FlightEntry::kCategoryBytes - 1, 'x'));
 }
 
+TEST(FlightRecorder, RecordsEmptyTextAsEmptyFields) {
+    // A default string_view has a null data(); copying zero bytes
+    // from it must stay defined (the sanitizer CI leg runs this).
+    FlightRecorder recorder{4};
+    recorder.note(FlightKind::event, std::string_view{}, std::string_view{});
+    recorder.noteMetric(std::string_view{}, 7);
+    const std::vector<FlightEntry> entries = recorder.entries();
+    ASSERT_EQ(entries.size(), 2u);
+    for (const FlightEntry& entry : entries) {
+        EXPECT_TRUE(entry.nameView().empty());
+        EXPECT_TRUE(entry.detailView().empty());
+    }
+    EXPECT_TRUE(entries[0].categoryView().empty());
+    EXPECT_EQ(entries[1].value, 7);
+}
+
 TEST(FlightRecorder, DisabledRecorderDropsNotesAndHidesFromFeeders) {
     FlightRecorder recorder{4};
     FlightRecorder* previous = FlightRecorder::setCurrent(&recorder);

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/run_context.hpp"
+
 namespace onelab::obs {
 namespace {
 
@@ -122,24 +124,44 @@ TEST(RegistryTest, SnapshotJsonShapeAndDeterminism) {
     EXPECT_EQ(json, registry.snapshotJson());
 }
 
+// Counters are single-writer: a registry belongs to one thread. Runs
+// that execute in parallel (--jobs) each own an obs::RunContext, whose
+// registry is the thread's Registry::instance(); concurrent runs must
+// then count losslessly and never touch the process-wide registry.
 TEST(RegistryTest, ConcurrentIncrementsAreLossless) {
-    Registry registry;
-    Counter& counter = registry.counter("hot");
-    Histogram& histogram = registry.histogram("hist");
     constexpr int kThreads = 4;
     constexpr int kPerThread = 20000;
+    struct Totals {
+        std::uint64_t counter = 0;
+        std::uint64_t histogramCount = 0;
+        double histogramSum = 0.0;
+        bool privateRegistry = false;
+    };
+    std::vector<Totals> totals(kThreads);
+    Registry* const processWide = &Registry::instance();
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back([&] {
+        threads.emplace_back([&totals, processWide, t] {
+            RunContext context;
+            Registry& registry = Registry::instance();
+            Counter& counter = registry.counter("hot");
+            Histogram& histogram = registry.histogram("hist");
             for (int i = 0; i < kPerThread; ++i) {
                 counter.inc();
                 histogram.observe(500.0);
             }
+            totals[t] = {counter.value(), histogram.count(), histogram.sum(),
+                         &registry == &context.registry() && &registry != processWide};
         });
     for (std::thread& thread : threads) thread.join();
-    EXPECT_EQ(counter.value(), std::uint64_t(kThreads) * kPerThread);
-    EXPECT_EQ(histogram.count(), std::uint64_t(kThreads) * kPerThread);
-    EXPECT_DOUBLE_EQ(histogram.sum(), double(kThreads) * kPerThread * 500.0);
+    for (const Totals& total : totals) {
+        EXPECT_TRUE(total.privateRegistry);
+        EXPECT_EQ(total.counter, std::uint64_t(kPerThread));
+        EXPECT_EQ(total.histogramCount, std::uint64_t(kPerThread));
+        EXPECT_DOUBLE_EQ(total.histogramSum, kPerThread * 500.0);
+    }
+    for (const MetricSample& sample : processWide->snapshot())
+        EXPECT_NE(sample.name, "hot");
 }
 
 TEST(RegistryTest, ProcessWideInstanceIsStable) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace onelab::util {
 namespace {
@@ -66,8 +67,10 @@ TEST(RandomStream, ChanceEdgeCases) {
     EXPECT_TRUE(rng.chance(1.5));
 }
 
+// The spec is a std::string, not a const char*: gtest prints a pointer's
+// address, which ASLR changes per run, and the printed value is the ctest name.
 class DistributionMean
-    : public ::testing::TestWithParam<std::pair<const char*, double>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, double>> {};
 
 TEST_P(DistributionMean, SampleMeanConvergesToSpecMean) {
     const auto [spec, expectedMean] = GetParam();
