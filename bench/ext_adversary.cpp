@@ -201,11 +201,7 @@ CellResult runCell(const AdvOptions& options, adversary::PersonalityKind kind,
         config.operatorProfile.natGuard.perSubscriberQuota = 0;
         config.operatorProfile.cellFairnessClamp = false;
     }
-    for (auto& site : config.umtsSites) {
-        site.autoRedial.enable = true;
-        site.autoRedial.maxAttempts = 8;
-        site.fifoGuard.enabled = guardsOn;
-    }
+    for (auto& site : config.umtsSites) site.fifoGuard.enabled = guardsOn;
     scenario::Fleet fleet{config};
     simPtr = &fleet.sim();
     fleet.sim().attachLogClock();

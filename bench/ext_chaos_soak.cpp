@@ -2,15 +2,17 @@
 // long sim-hours while a seeded FaultPlan injects radio drops, detach
 // storms, coverage holes, capacity squeezes, RLC outages and loss
 // bursts, modem resets, AT failures, serial corruption/stalls and LCP
-// renegotiations. Auto-redial recovery is ON, so the run measures the
-// stack's ability to come back — and the harness asserts invariants a
-// survivable deployment must hold:
+// renegotiations. Every site runs a LinkSupervisor, the one owner of
+// recovery from a lost link, so the run measures the stack's ability
+// to come back — and the harness asserts invariants a survivable
+// deployment must hold:
 //
 //   1. no capacity leak: once every site is stopped, the cell pool's
 //      allocated budget is exactly zero;
-//   2. every drop recovers or surfaces: at soak end each site is
-//      either connected again or reports a terminal error (lock
-//      released, lastError set) — nobody is stuck half-dead;
+//   2. no wedge: after the settle tail every supervisor is HEALTHY
+//      (link back, flows failed back) or FAILED_OVER (parked on the
+//      wired path, cooldown retry armed), or still has recovery work
+//      pending — and every link loss opened a supervisor incident;
 //   3. determinism: the same seed + the same plan reproduces the
 //      exported telemetry byte for byte (checked for the first seed).
 //
@@ -50,10 +52,6 @@ struct SoakOptions {
     std::string exportDir = "/tmp/onelab_chaos";
     bool checkDeterminism = true;
     std::size_t jobs = 1;             // seeds run on this many workers
-    /// Supervised leg: the LinkSupervisor owns recovery (in place of
-    /// the backend's auto-redial) and the wedge invariant becomes
-    /// "every supervisor reaches HEALTHY or FAILED_OVER".
-    bool supervise = false;
 };
 
 struct SoakOutcome {
@@ -111,14 +109,7 @@ SoakOutcome runSoak(const SoakOptions& options, std::uint64_t seed,
     harnessScope.emplace(obs::ProfileCategory::scenario_harness);
 
     scenario::FleetConfig config = scenario::makeUniformFleet(options.ues, seed);
-    for (auto& site : config.umtsSites) {
-        if (options.supervise) {
-            site.supervise.enable = true;
-        } else {
-            site.autoRedial.enable = true;
-            site.autoRedial.maxAttempts = 8;
-        }
-    }
+    for (auto& site : config.umtsSites) site.supervise.enable = true;
     scenario::Fleet fleet{config};
     simPtr = &fleet.sim();
     // Stamp trace + flight entries with simulated time (the clocks
@@ -150,8 +141,8 @@ SoakOutcome runSoak(const SoakOptions& options, std::uint64_t seed,
     injector.arm();
 
     // Traffic in waves until the fault horizon passes, then a settle
-    // tail long enough for every windowed fault to restore and every
-    // redial backoff to either reconnect or exhaust. Every third wave
+    // tail long enough for every windowed fault to restore and the
+    // supervisors' redial ladders to make progress. Every third wave
     // rides the byte-accurate TCP stack instead of UDP CBR, so the
     // fault plan lands on both datapaths: CBR exercises the
     // bearer/queue shapes, TCP exercises retransmission/RTO recovery
@@ -172,56 +163,41 @@ SoakOutcome runSoak(const SoakOptions& options, std::uint64_t seed,
     if (plan.size() > 0 && outcome.injected == 0)
         return fail("plan had events but nothing was injected");
 
-    // Invariant 2 (unsupervised): connected again, or terminally down
-    // with a reason. Supervised: every supervisor reaches a terminal
-    // state — HEALTHY (link recovered, flows failed back) or
-    // FAILED_OVER (parked on wired, cooldown retry armed) — and no UE
-    // is wedged without pending recovery work.
-    if (options.supervise) {
-        const sim::SimTime settleDeadline = fleet.now() + sim::seconds(600.0);
-        const auto settled = [&fleet] {
-            for (std::size_t i = 0; i < fleet.umtsSiteCount(); ++i) {
-                const supervise::Health health = fleet.umtsSite(i).supervisor()->health();
-                if (health != supervise::Health::healthy &&
-                    health != supervise::Health::failed_over)
-                    return false;
-            }
-            return true;
-        };
-        while (!settled() && fleet.now() < settleDeadline)
-            fleet.runFor(sim::seconds(5.0));
+    // Invariant 2: every supervisor reaches a terminal state —
+    // HEALTHY (link recovered, flows failed back) or FAILED_OVER
+    // (parked on wired, cooldown retry armed) — and no UE is wedged
+    // without pending recovery work.
+    const sim::SimTime settleDeadline = fleet.now() + sim::seconds(600.0);
+    const auto settled = [&fleet] {
         for (std::size_t i = 0; i < fleet.umtsSiteCount(); ++i) {
-            scenario::UmtsNodeSite& site = fleet.umtsSite(i);
-            const supervise::LinkSupervisor& sup = *site.supervisor();
-            const umtsctl::UmtsState& state = site.backend().state();
-            const bool healthyUp =
-                sup.health() == supervise::Health::healthy && (state.connected || !state.locked);
-            const bool parked = sup.health() == supervise::Health::failed_over;
-            if (!healthyUp && !parked && !sup.hasPendingWork())
-                return fail(site.hostname() + " is wedged: supervisor in " +
-                            supervise::healthName(sup.health()) +
-                            " with no pending recovery work");
+            const supervise::Health health = fleet.umtsSite(i).supervisor()->health();
+            if (health != supervise::Health::healthy &&
+                health != supervise::Health::failed_over)
+                return false;
         }
-        // Every link loss the backend saw must have opened a
-        // supervisor incident — the detection path is alive.
-        const std::uint64_t losses =
-            obs::Registry::instance().counter("fault.umtsctl.link_losses").value();
-        const std::uint64_t incidents =
-            obs::Registry::instance().counter("supervise.incidents").value();
-        if (losses > 0 && incidents == 0)
-            return fail("supervisor missed every link loss (losses=" +
-                        std::to_string(losses) + ", incidents=0)");
-    } else {
-        for (std::size_t i = 0; i < fleet.umtsSiteCount(); ++i) {
-            const umtsctl::UmtsState& state = fleet.umtsSite(i).backend().state();
-            const bool recovered = state.connected;
-            const bool surfaced = !state.locked && !state.lastError.empty();
-            const bool untouched = !state.locked && state.lastError.empty();
-            if (!recovered && !surfaced && !untouched)
-                return fail(fleet.umtsSite(i).hostname() +
-                            " is stuck: not connected, lock held, no terminal error");
-        }
+        return true;
+    };
+    while (!settled() && fleet.now() < settleDeadline) fleet.runFor(sim::seconds(5.0));
+    for (std::size_t i = 0; i < fleet.umtsSiteCount(); ++i) {
+        scenario::UmtsNodeSite& site = fleet.umtsSite(i);
+        const supervise::LinkSupervisor& sup = *site.supervisor();
+        const umtsctl::UmtsState& state = site.backend().state();
+        const bool healthyUp =
+            sup.health() == supervise::Health::healthy && (state.connected || !state.locked);
+        const bool parked = sup.health() == supervise::Health::failed_over;
+        if (!healthyUp && !parked && !sup.hasPendingWork())
+            return fail(site.hostname() + " is wedged: supervisor in " +
+                        supervise::healthName(sup.health()) + " with no pending recovery work");
     }
+    // Every link loss the backend saw must have opened a supervisor
+    // incident — the detection path is alive.
+    const std::uint64_t losses =
+        obs::Registry::instance().counter("fault.umtsctl.link_losses").value();
+    const std::uint64_t incidents =
+        obs::Registry::instance().counter("supervise.incidents").value();
+    if (losses > 0 && incidents == 0)
+        return fail("supervisor missed every link loss (losses=" + std::to_string(losses) +
+                    ", incidents=0)");
 
     // Invariant 1: stop every site and demand a drained pool.
     for (std::size_t i = 0; i < fleet.umtsSiteCount(); ++i)
@@ -245,8 +221,6 @@ void usage(const char* argv0) {
     std::printf(
         "usage: %s [--profile pr|nightly] [--ues N] [--seconds S]\n"
         "          [--seeds a,b,c] [--faults plan.json] [--export dir]\n"
-        "          [--supervise]  (LinkSupervisor owns recovery instead\n"
-        "                          of backend auto-redial)\n"
         "          [--jobs N]   (0 = all hardware threads; per-seed\n"
         "                        outcomes and telemetry are identical\n"
         "                        to a serial run)\n"
@@ -265,9 +239,8 @@ bool writeResultsJson(const std::string& path, const SoakOptions& options,
     double wallTotal = 0.0;
     std::fprintf(file,
                  "{\"bench\":\"ext_chaos_soak\",\"profile\":\"%s\",\"ues\":%zu,"
-                 "\"supervised\":%s,\"jobs\":%zu,\"seeds\":[",
-                 options.profile.c_str(), options.ues,
-                 options.supervise ? "true" : "false", options.jobs);
+                 "\"jobs\":%zu,\"seeds\":[",
+                 options.profile.c_str(), options.ues, options.jobs);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         const SoakOutcome& outcome = outcomes[i];
         simTotal += outcome.simSeconds;
@@ -343,8 +316,6 @@ int main(int argc, char** argv) {
             const char* value = next();
             if (!value) { usage(argv[0]); return 2; }
             jsonPath = value;
-        } else if (arg == "--supervise") {
-            options.supervise = true;
         } else {
             usage(argv[0]);
             return arg == "--help" ? 0 : 2;
@@ -352,10 +323,9 @@ int main(int argc, char** argv) {
     }
     if (options.seeds.empty()) { usage(argv[0]); return 2; }
 
-    std::printf("=== Chaos soak: %zu-UE fleet, %s profile%s, %.0f s per seed, "
+    std::printf("=== Chaos soak: %zu-UE fleet, %s profile, %.0f s per seed, "
                 "%zu job%s ===\n\n",
-                options.ues, options.profile.c_str(),
-                options.supervise ? " (supervised)" : "", options.soakSeconds, options.jobs,
+                options.ues, options.profile.c_str(), options.soakSeconds, options.jobs,
                 options.jobs == 1 ? "" : "s");
 
     // Seeds are independent soaks; run them as sweep points (each in

@@ -124,7 +124,7 @@ void runFaultedFleetTelemetry(const std::string& directory) {
     obs::beginRun();
     ppp::resetMagicEntropy();
     scenario::FleetConfig config = scenario::makeUniformFleet(3, 7);
-    for (auto& site : config.umtsSites) site.autoRedial.enable = true;
+    for (auto& site : config.umtsSites) site.supervise.enable = true;
     scenario::Fleet fleet{config};
     if (!fleet.startAll().ok()) throw std::runtime_error("fleet start failed");
     if (!fleet.addDestinationAll().ok()) throw std::runtime_error("fleet routing failed");

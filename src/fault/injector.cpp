@@ -26,8 +26,7 @@ void registerFaultMetricFamilies() {
              "fault.umts.rlc_outages", "fault.umtsctl.link_losses",
              "recovery.modem.reattaches", "recovery.modem.registration_retries",
              "recovery.modem.reinits", "recovery.modem.reregistrations",
-             "recovery.redial.attempts", "recovery.redial.exhausted",
-             "recovery.redial.successes",
+             "recovery.redial.attempts", "recovery.redial.successes",
          })
         (void)registry.counter(name);
     for (std::size_t kind = 0; kind < kFaultKindCount; ++kind)

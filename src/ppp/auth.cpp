@@ -73,8 +73,10 @@ void Authenticatee::start() {
         finish(true, "no authentication required");
         return;
     }
-    if (protocol_ == AuthProtocol::pap) sendPapRequest();
-    // CHAP: passive until the challenge arrives.
+    if (protocol_ == AuthProtocol::pap)
+        sendPapRequest();
+    else
+        armChapTimeout();  // CHAP: passive until the challenge arrives
 }
 
 void Authenticatee::stop() {
@@ -101,6 +103,17 @@ void Authenticatee::sendPapRequest() {
     retryTimer_ = sim_.schedule(kRetryInterval, [this] { sendPapRequest(); });
 }
 
+void Authenticatee::armChapTimeout() {
+    // The same budget PAP gets (retriesLeft_ x kRetryInterval), counted
+    // from the last Challenge: a lost Success or Failure must not leave
+    // the link in the authenticate phase for good.
+    stop();
+    retryTimer_ = sim_.schedule(kRetryInterval * retriesLeft_, [this] {
+        retryTimer_ = {};
+        finish(false, "CHAP timeout");
+    });
+}
+
 void Authenticatee::receive(Protocol protocol, const ControlPacket& packet) {
     if (done_) return;
     if (protocol == Protocol::pap && protocol_ == AuthProtocol::pap) {
@@ -123,6 +136,7 @@ void Authenticatee::receive(Protocol protocol, const ControlPacket& packet) {
             response.data = encodeChapBody(util::ByteView{digest.data(), digest.size()},
                                            credentials_.username);
             sender_(Protocol::chap, response);
+            armChapTimeout();
         } else if (code == kChapSuccess) {
             finish(true, "CHAP success");
         } else if (code == kChapFailure) {

@@ -29,7 +29,8 @@ class Authenticatee {
     ~Authenticatee();
 
     /// Begin: PAP sends Authenticate-Request immediately (with
-    /// retransmit); CHAP waits for the challenge.
+    /// retransmit); CHAP waits for the challenge. Either fails after
+    /// the retry budget without a verdict.
     void start();
     void stop();
 
@@ -41,6 +42,7 @@ class Authenticatee {
 
   private:
     void sendPapRequest();
+    void armChapTimeout();
     void finish(bool ok, std::string message);
 
     sim::Simulator& sim_;

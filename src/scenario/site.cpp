@@ -96,10 +96,6 @@ UmtsNodeSite::UmtsNodeSite(sim::Simulator& simulator, net::Internet& internet,
     // slice may ask for the unscoped `stats all` dump.
     backendConfig.statsScopeImsi = config_.imsi;
     backendConfig.statsAllSlice = config_.umtsSliceName;
-    backendConfig.autoRedial = config_.autoRedial;
-    if (backendConfig.autoRedial.jitterSeed == 0)
-        backendConfig.autoRedial.jitterSeed =
-            rootRng.derive(config_.dialerSeedTag + "/redial").seed();
     backend_ = std::make_unique<umtsctl::UmtsBackend>(simulator, *node_, tty_->a(),
                                                       backendConfig);
     backend_->dropDtr = [this] { modem_->dropDtr(); };

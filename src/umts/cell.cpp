@@ -1,6 +1,7 @@
 #include "umts/cell.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 namespace onelab::umts {
@@ -102,7 +103,12 @@ void CellCapacity::setCapacityScale(double scale) {
 }
 
 double CellCapacity::admitDownlink(double desiredBps, double floorBps) {
-    const double granted = std::max(floorBps, std::min(desiredBps, downlinkAvailableBps()));
+    // A headroom-trimmed grant is whole bps: a squeezed budget is
+    // fractional, and fractional grants leave a rounding residue in
+    // the running sum once every holder has released (the profile's
+    // rates and uplink ladder steps are whole already).
+    const double granted =
+        std::max(floorBps, std::min(desiredBps, std::floor(downlinkAvailableBps())));
     if (granted < desiredBps) {
         countTrimmedAdmission();
         log_.info() << "downlink admission trimmed: " << desiredBps / 1e3 << " -> "

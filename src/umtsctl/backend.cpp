@@ -12,8 +12,6 @@ UmtsBackend::UmtsBackend(sim::Simulator& simulator, pl::NodeOs& node,
                          sim::ByteChannel& modemTty, UmtsBackendConfig config)
     : sim_(simulator), node_(node), modemTty_(modemTty), config_(std::move(config)) {}
 
-UmtsBackend::~UmtsBackend() { cancelRedial(); }
-
 tools::RootShell& UmtsBackend::shell() {
     // The backend runs in the root context by construction.
     return *node_.shell(node_.rootContext()).value();
@@ -150,7 +148,7 @@ void UmtsBackend::startConnection(std::function<void(util::Result<ppp::IpcpResul
             if (!addresses.ok()) {
                 state_.lastError = addresses.error().message;
                 if (dropDtr) dropDtr();
-                wvdial_.reset();
+                retireDialer();
                 done(util::err(addresses.error().code,
                                "dial: " + addresses.error().message));
                 return;
@@ -234,6 +232,14 @@ void UmtsBackend::teardownDataPlane() {
     state_.connected = false;
 }
 
+void UmtsBackend::retireDialer() {
+    // Link-loss and dial-failure callbacks arrive from deep inside the
+    // dialer's own pppd (e.g. a Terminate-Ack being dispatched);
+    // destroy it only after the current event unwinds.
+    sim_.schedule(sim::millis(1), [dead = std::shared_ptr<tools::WvDial>(std::move(wvdial_))] {
+    });
+}
+
 void UmtsBackend::notifyCarrierLost() {
     if (wvdial_) wvdial_->carrierLost();
 }
@@ -245,11 +251,7 @@ void UmtsBackend::onLinkLost(const std::string& reason) {
     const std::set<std::string> stashed = destinations_;
     teardownDataPlane();
     if (dropDtr) dropDtr();
-    // This callback can arrive from deep inside the dialer's own pppd
-    // (e.g. a Terminate-Ack being dispatched); destroy it only after
-    // the current event unwinds.
-    sim_.schedule(sim::millis(1), [dead = std::shared_ptr<tools::WvDial>(std::move(wvdial_))] {
-    });
+    retireDialer();
     state_.lastError = reason;
     if (onConnectionLost) {
         // Supervised mode: keep the lock, park the slice's destination
@@ -260,59 +262,9 @@ void UmtsBackend::onLinkLost(const std::string& reason) {
         onConnectionLost(reason);
         return;
     }
-    if (!config_.autoRedial.enable) {
-        state_.locked = false;
-        return;
-    }
-    // Recovery: keep the slice's lock and re-dial with capped,
-    // jittered exponential backoff; the destination rules are
-    // re-installed on success.
-    redialDestinations_ = stashed;
-    redialAttempt_ = 0;
-    redialBackoff_.emplace(util::BackoffConfig{
-        .initialSeconds = sim::toSeconds(config_.autoRedial.initialBackoff),
-        .maxSeconds = sim::toSeconds(config_.autoRedial.maxBackoff),
-        .jitterFraction = config_.autoRedial.jitterFraction,
-        .seed = config_.autoRedial.jitterSeed,
-    });
-    scheduleRedial();
-}
-
-void UmtsBackend::scheduleRedial() {
-    if (redialTimer_.valid()) sim_.cancel(redialTimer_);
-    const sim::SimTime delay = sim::seconds(redialBackoff_->nextSeconds());
-    log_.info() << "auto-redial in " << sim::toSeconds(delay) << "s";
-    redialTimer_ = sim_.schedule(delay, [this] { attemptRedial(); });
-}
-
-void UmtsBackend::attemptRedial() {
-    redialTimer_ = {};
-    if (!state_.locked || state_.connected || busy_) return;
-    ++redialAttempt_;
-    obs::Registry::instance().counter("recovery.redial.attempts").inc();
-    log_.info() << "auto-redial attempt " << redialAttempt_ << "/"
-                << config_.autoRedial.maxAttempts;
-    busy_ = true;
-    startConnection([this](util::Result<ppp::IpcpResult> result) {
-        busy_ = false;
-        if (result.ok()) {
-            obs::Registry::instance().counter("recovery.redial.successes").inc();
-            log_.info() << "auto-redial succeeded: " << state_.address.str();
-            reinstallDestinations();
-            return;
-        }
-        state_.lastError = result.error().message;
-        if (redialAttempt_ >= config_.autoRedial.maxAttempts) {
-            // Terminal: surface the error and release the lock so the
-            // slice can decide what to do.
-            obs::Registry::instance().counter("recovery.redial.exhausted").inc();
-            log_.error() << "auto-redial exhausted after " << redialAttempt_
-                         << " attempts: " << state_.lastError;
-            state_.locked = false;
-            return;
-        }
-        scheduleRedial();
-    });
+    // Unsupervised: the error is on record; release the lock and stay
+    // down until the slice starts again.
+    state_.locked = false;
 }
 
 void UmtsBackend::redial(std::function<void(util::Result<void>)> done) {
@@ -372,27 +324,6 @@ void UmtsBackend::failbackRoutes() {
     log_.info() << "destination rules restored: traffic back on " << config_.pppInterface;
 }
 
-void UmtsBackend::reinstallDestinations() {
-    for (const std::string& destination : redialDestinations_) {
-        const auto result = shell().exec(
-            util::format("ip rule add prio %d fwmark 0x%x to %s lookup %d",
-                         config_.destinationRulePriority, mark(), destination.c_str(),
-                         config_.routingTable));
-        if (result.ok())
-            destinations_.insert(destination);
-        else
-            log_.error() << "failed to re-install destination " << destination << ": "
-                         << result.error().message;
-    }
-    redialDestinations_.clear();
-}
-
-void UmtsBackend::cancelRedial() {
-    if (redialTimer_.valid()) sim_.cancel(redialTimer_);
-    redialTimer_ = {};
-    redialDestinations_.clear();
-}
-
 void UmtsBackend::cmdStop(const pl::Slice& caller, pl::Vsys::Completion done) {
     if (!state_.locked) {
         reply(done, exit_code::ok, {"status=not-started"});
@@ -407,7 +338,6 @@ void UmtsBackend::cmdStop(const pl::Slice& caller, pl::Vsys::Completion done) {
         return;
     }
     log_.info() << "stop requested by slice '" << caller.name << "'";
-    cancelRedial();
     parkedDestinations_.clear();
     routesParked_ = false;
     teardownDataPlane();

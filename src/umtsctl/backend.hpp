@@ -2,14 +2,12 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 
 #include "pl/node_os.hpp"
 #include "tools/comgt.hpp"
 #include "tools/wvdial.hpp"
-#include "util/backoff.hpp"
 
 namespace onelab::umtsctl {
 
@@ -48,22 +46,6 @@ struct UmtsBackendConfig {
     /// protocol — is silently scoped to its own session and counted as
     /// guard.umtsctl.stats_denied. Empty = nobody gets "all".
     std::string statsAllSlice;
-    /// Automatic re-dial after an unexpected link loss: the backend
-    /// keeps the slice's lock, re-runs registration + dialing with
-    /// capped exponential backoff, and re-installs the slice's
-    /// destination rules. Off by default (historic behaviour: report
-    /// the error, release the lock, stay down).
-    struct AutoRedial {
-        bool enable = false;
-        int maxAttempts = 6;
-        sim::SimTime initialBackoff = sim::seconds(2.0);
-        sim::SimTime maxBackoff = sim::seconds(60.0);
-        /// ± jitter applied to every backoff step so N UEs recovering
-        /// from a shared-cell outage don't redial in lockstep.
-        double jitterFraction = 0.2;
-        std::uint64_t jitterSeed = 0;
-    };
-    AutoRedial autoRedial;
 };
 
 /// Connection state the backend reports.
@@ -93,7 +75,6 @@ class UmtsBackend {
   public:
     UmtsBackend(sim::Simulator& simulator, pl::NodeOs& node, sim::ByteChannel& modemTty,
                 UmtsBackendConfig config);
-    ~UmtsBackend();
 
     UmtsBackend(const UmtsBackend&) = delete;
     UmtsBackend& operator=(const UmtsBackend&) = delete;
@@ -105,14 +86,15 @@ class UmtsBackend {
     std::function<void()> dropDtr;
 
     /// DCD line from the modem: the data call died under us. Tears the
-    /// data plane down and releases the lock.
+    /// data plane down and releases the lock (unless supervised).
     void notifyCarrierLost();
 
     // --- supervision driver surface (src/supervise) ---------------
     // When onConnectionLost is set, an unexpected link loss keeps the
     // slice's lock, parks the installed destination rules (traffic
     // falls back to the wired default route) and defers recovery to
-    // the supervisor instead of the built-in auto-redial.
+    // the supervisor. Without it the backend keeps the paper's
+    // behaviour: record the error, release the lock, stay down.
 
     /// Link died unexpectedly (data plane already torn down, routes
     /// parked). The supervisor owns recovery from here.
@@ -162,15 +144,13 @@ class UmtsBackend {
     void dispatch(const pl::Slice& caller, const std::vector<std::string>& args,
                   pl::Vsys::Completion done);
     /// The registration + dial chain shared by cmdStart and the
-    /// auto-redial path; on success the data plane is up.
+    /// supervised redial(); on success the data plane is up.
     void startConnection(std::function<void(util::Result<ppp::IpcpResult>)> done);
     void setupDataPlane(const ppp::IpcpResult& addresses);
     void teardownDataPlane();
+    /// Give up the current dialer; it is destroyed one event later.
+    void retireDialer();
     void onLinkLost(const std::string& reason);
-    void scheduleRedial();
-    void attemptRedial();
-    void reinstallDestinations();
-    void cancelRedial();
     [[nodiscard]] tools::RootShell& shell();
     [[nodiscard]] std::uint32_t mark() const noexcept { return ownerMark_; }
     static void reply(pl::Vsys::Completion& done, int code,
@@ -189,12 +169,6 @@ class UmtsBackend {
     std::unique_ptr<tools::WvDial> wvdial_;
     std::set<std::string> destinations_;
     bool busy_ = false;  ///< a start/stop is in flight
-
-    // Auto-redial recovery state.
-    sim::EventHandle redialTimer_;
-    int redialAttempt_ = 0;
-    std::optional<util::JitteredBackoff> redialBackoff_;
-    std::set<std::string> redialDestinations_;  ///< rules to re-install
 
     // Supervised failover state: destination rules pulled off the UMTS
     // path (either by a link loss or an explicit failoverRoutes()),

@@ -7,11 +7,11 @@
 namespace onelab::util {
 
 /// Capped exponential backoff with deterministic seeded jitter. Used
-/// by every recovery path that re-tries against a shared resource
-/// (umtsctl auto-redial, the link supervisor's ladder): N instances
-/// seeded from N derived streams spread their retries instead of
-/// stampeding the SGSN in lockstep after a shared-cell outage, while
-/// the whole schedule stays reproducible for a given seed.
+/// by the link supervisor's redial ladder, which re-tries against a
+/// shared resource: N instances seeded from N derived streams spread
+/// their retries instead of stampeding the SGSN in lockstep after a
+/// shared-cell outage, while the whole schedule stays reproducible
+/// for a given seed.
 struct BackoffConfig {
     double initialSeconds = 2.0;
     double maxSeconds = 60.0;

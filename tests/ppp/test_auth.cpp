@@ -158,6 +158,33 @@ TEST_F(AuthHarness, PapTimesOutWithoutServer) {
     EXPECT_GT(sent, 1);  // retransmissions happened
 }
 
+TEST_F(AuthHarness, ChapTimesOutWhenSuccessIsLost) {
+    Authenticatee peer{sim, AuthProtocol::chap_md5, {"onelab", "secret"},
+                       [this](Protocol p, const ControlPacket& c) { peerSend(p, c); }};
+    // The line eats the verdict: the server is satisfied, the peer
+    // never hears so.
+    Authenticator server{sim, AuthProtocol::chap_md5, "ggsn", lookup(),
+                         [this](Protocol p, const ControlPacket& c) {
+                             if (std::uint8_t(c.code) != 3) serverSend(p, c);  // 3 = Success
+                         },
+                         util::RandomStream{5}};
+    wire(peer, server);
+    std::optional<bool> peerResult;
+    std::string peerMessage;
+    std::optional<bool> serverResult;
+    peer.onResult = [&](bool ok, const std::string& message) {
+        peerResult = ok;
+        peerMessage = message;
+    };
+    server.onResult = [&](bool ok, const std::string&) { serverResult = ok; };
+    server.start();
+    peer.start();
+    sim.runUntil(sim::seconds(10.0));
+    EXPECT_EQ(serverResult, true);
+    EXPECT_EQ(peerResult, false);
+    EXPECT_EQ(peerMessage, "CHAP timeout");
+}
+
 TEST_F(AuthHarness, ChapChallengeRetransmitted) {
     int challenges = 0;
     Authenticator server{sim, AuthProtocol::chap_md5, "ggsn", lookup(),

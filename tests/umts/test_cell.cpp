@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -47,6 +48,19 @@ TEST(CellCapacity, DownlinkAdmissionTrimsToHeadroomButNotBelowFloor) {
     EXPECT_DOUBLE_EQ(cell.downlinkAllocatedBps(), 1084e3);
     cell.releaseDownlink(700e3);
     EXPECT_DOUBLE_EQ(cell.admitDownlink(500e3, 384e3), 500e3);
+}
+
+TEST(CellCapacity, SqueezedDownlinkGrantsReleaseToExactlyZero) {
+    CellCapacity cell{768e3, 7.2e6};
+    // 7.2 Mbps x 0.29 is not a whole number of bps in double arithmetic.
+    cell.setCapacityScale(0.29);
+    const double trimmed = cell.admitDownlink(3.6e6, 64e3);  // trimmed to the headroom
+    const double floored = cell.admitDownlink(3.6e6, 64e3);  // no headroom: the floor
+    EXPECT_EQ(trimmed, std::floor(trimmed));
+    EXPECT_EQ(floored, 64e3);
+    cell.releaseDownlink(trimmed);
+    cell.releaseDownlink(floored);
+    EXPECT_EQ(cell.downlinkAllocatedBps(), 0.0);
 }
 
 TEST(CellCapacity, ContentionCountersAccumulate) {

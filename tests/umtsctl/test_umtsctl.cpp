@@ -99,6 +99,23 @@ TEST_F(UmtsctlTest, WrongPinConfigurationFailsCleanly) {
     EXPECT_EQ(broken.operatorNetwork().activeSessions(), 0u);
 }
 
+TEST_F(UmtsctlTest, RejectedCredentialsFailTheDialCleanly) {
+    // The APN knows no such subscriber: CHAP fails, both pppds
+    // terminate LCP, and the dial fails from inside the dialer's own
+    // Terminate-Ack dispatch — the backend must not free that pppd
+    // while its FSM is still on the stack.
+    TestbedConfig config;
+    config.operatorProfile.acceptAnyCredentials = false;
+    config.operatorProfile.subscribers.clear();
+    Testbed broken{config};
+    const auto result = broken.startUmts(sim::seconds(60.0));
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.error().message.find("dial"), std::string::npos);
+    EXPECT_FALSE(broken.backend().state().locked);
+    EXPECT_EQ(broken.napoli().stack().findInterface("ppp0"), nullptr);
+    EXPECT_EQ(broken.operatorNetwork().activeSessions(), 0u);
+}
+
 TEST_F(UmtsctlTest, StartLoadsPppAndDriverModules) {
     pl::KernelModuleRegistry* modules =
         tb.napoli().modules(tb.napoli().rootContext()).value();
