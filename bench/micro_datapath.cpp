@@ -2,7 +2,9 @@
 //
 //  - Packet path: policy routing resolution, netfilter traversal, and
 //    the full send path with the paper's isolation rule set installed
-//    (the per-packet cost of the umts command's policy).
+//    (the per-packet cost of the umts command's policy); the operator
+//    firewall's check on an established flow; the modem's data-mode
+//    "+++" escape scan over one 1500-byte chunk.
 //
 //  - Framed byte path: HDLC encode/deframe goodput of the vectorized
 //    framer (bulk run scan + fused FCS) against an in-file replica of
@@ -27,12 +29,14 @@
 #include <string>
 #include <vector>
 
+#include "modem/at_engine.hpp"
 #include "net/internet.hpp"
 #include "net/stack.hpp"
 #include "ppp/fcs.hpp"
 #include "ppp/framer.hpp"
 #include "sim/pipe.hpp"
 #include "sim/simulator.hpp"
+#include "umts/network.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -126,6 +130,62 @@ void BM_SendPathIsolationRules(benchmark::State& state) {
     state.SetLabel(state.range(0) ? "isolation rules installed" : "bare stack");
 }
 BENCHMARK(BM_SendPathIsolationRules)->Arg(0)->Arg(1);
+
+/// The operator's stateful firewall on an established UDP flow, per
+/// packet: arg 0 a reply arriving from the Internet, arg 1 the
+/// subscriber's next outbound packet refreshing the flow.
+void BM_FirewallForward(benchmark::State& state) {
+    sim::Simulator sim;
+    net::Internet internet{sim, util::RandomStream{5}};
+    umts::UmtsNetwork network{sim, internet, umts::commercialItalianOperator(),
+                              util::RandomStream{6}};
+    const net::Ipv4Address subscriber{10, 47, 0, 16};
+    const net::Ipv4Address server{138, 96, 250, 20};
+    const net::Packet outbound = net::makeUdpPacket(subscriber, 5000, server, 9001, {});
+    const net::Packet reply = net::makeUdpPacket(server, 9001, subscriber, 5000, {});
+    const std::string pdp = "pdp1";
+    const std::string wan = "wan";
+    (void)network.forwardAllowed(outbound, pdp);
+    const bool inbound = state.range(0) == 0;
+    const net::Packet& pkt = inbound ? reply : outbound;
+    const std::string& iif = inbound ? wan : pdp;
+    for (auto _ : state) benchmark::DoNotOptimize(network.forwardAllowed(pkt, iif));
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel(inbound ? "inbound reply" : "outbound refresh");
+}
+BENCHMARK(BM_FirewallForward)->Arg(0)->Arg(1);
+
+/// Device side of a TTY that hands each chunk straight to the AT
+/// engine's receive callback, so the bench times the engine alone.
+class DirectTty final : public sim::ByteChannel {
+  public:
+    void write(util::ByteView) override {}
+    void onData(std::function<void(util::ByteView)>) override {}
+    void onDataShared(std::function<void(util::SharedBytes)> handler) override {
+        deliver = std::move(handler);
+    }
+    std::function<void(util::SharedBytes)> deliver;
+};
+
+/// The data-mode escape scan over one 1500-byte chunk: arg 0 holds no
+/// '+', arg 1 is dense with them (every other byte). Simulated time
+/// stands still, so no guard silence ever arms the escape.
+void BM_AtEscapeScan(benchmark::State& state) {
+    sim::Simulator sim;
+    DirectTty tty;
+    modem::AtEngine engine{sim, "bench"};
+    engine.attachTty(tty);
+    engine.enterDataModeShared([](const util::SharedBytes&) {});
+    util::Bytes chunk(1500, 'x');
+    if (state.range(0) != 0)
+        for (std::size_t i = 0; i < chunk.size(); i += 2) chunk[i] = '+';
+    const util::SharedBytes shared = util::SharedBytes::copy({chunk.data(), chunk.size()});
+    for (auto _ : state) tty.deliver(shared);
+    state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(chunk.size()));
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel(state.range(0) ? "dense '+'" : "no '+'");
+}
+BENCHMARK(BM_AtEscapeScan)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
 // Framed byte path: reference (pre-vectorization) framer, kept here as

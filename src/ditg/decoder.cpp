@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
+#include <utility>
+#include <vector>
 
 namespace onelab::ditg {
 
@@ -44,11 +44,15 @@ QosSeries ItgDec::decode(const SenderLog& sender, const ReceiverLog& receiver,
     }
 
     // --- loss: packets sent in a window that never arrived ---
-    std::set<std::uint32_t> deliveredSequences;
-    for (const RxRecord& rx : receiver.packets) deliveredSequences.insert(rx.sequence);
+    std::vector<std::uint32_t> deliveredSequences;
+    deliveredSequences.reserve(receiver.packets.size());
+    for (const RxRecord& rx : receiver.packets) deliveredSequences.push_back(rx.sequence);
+    std::sort(deliveredSequences.begin(), deliveredSequences.end());
     std::vector<double> lossPerWindow(windowCount, 0.0);
     for (const TxRecord& tx : sender.packets) {
-        if (deliveredSequences.count(tx.sequence)) continue;
+        if (std::binary_search(deliveredSequences.begin(), deliveredSequences.end(),
+                               tx.sequence))
+            continue;
         const std::size_t w = windowOf(tx.txTime);
         if (w < windowCount) lossPerWindow[w] += 1.0;
     }
@@ -87,12 +91,24 @@ QosSummary ItgDec::summarize(const SenderLog& sender, const ReceiverLog& receive
     // not count as extra deliveries: keep the first arrival of each
     // sequence number. The dedup lives here in summarize() only — the
     // raw log is the measurement and is stored/encoded untouched.
+    // Sorting (sequence, arrival index) pairs puts each sequence's
+    // first arrival at the head of its run.
     ReceiverLog unique;
     unique.transport = receiver.transport;
     {
-        std::set<std::uint32_t> seen;
-        for (const RxRecord& rx : receiver.packets)
-            if (seen.insert(rx.sequence).second) unique.packets.push_back(rx);
+        std::vector<std::pair<std::uint32_t, std::size_t>> bySequence;
+        bySequence.reserve(receiver.packets.size());
+        for (std::size_t i = 0; i < receiver.packets.size(); ++i)
+            bySequence.emplace_back(receiver.packets[i].sequence, i);
+        std::sort(bySequence.begin(), bySequence.end());
+        std::vector<std::size_t> firstArrivals;
+        firstArrivals.reserve(bySequence.size());
+        for (std::size_t i = 0; i < bySequence.size(); ++i)
+            if (i == 0 || bySequence[i].first != bySequence[i - 1].first)
+                firstArrivals.push_back(bySequence[i].second);
+        std::sort(firstArrivals.begin(), firstArrivals.end());
+        unique.packets.reserve(firstArrivals.size());
+        for (const std::size_t i : firstArrivals) unique.packets.push_back(receiver.packets[i]);
     }
 
     QosSummary summary;

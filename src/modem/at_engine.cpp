@@ -1,5 +1,7 @@
 #include "modem/at_engine.hpp"
 
+#include <cstring>
+
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "util/strings.hpp"
@@ -73,44 +75,67 @@ void AtEngine::sendToHost(const util::SharedBytes& data) {
     if (tty_) tty_->write(data);
 }
 
+namespace {
+
+/// The first '+' in [from, end), or end. The first few bytes are
+/// checked inline: across short gaps a memchr call costs more than it
+/// saves.
+const std::uint8_t* nextPlus(const std::uint8_t* from, const std::uint8_t* end) {
+    for (int i = 0; i < 8 && from != end; ++i, ++from)
+        if (*from == '+') return from;
+    if (from == end) return end;
+    const void* plus = std::memchr(from, '+', std::size_t(end - from));
+    return plus ? static_cast<const std::uint8_t*>(plus) : end;
+}
+
+}  // namespace
+
 void AtEngine::scanEscapeSequence(util::ByteView data) {
-    // Scan for the escape sequence: guard, "+++", guard.
-    for (const std::uint8_t byte : data) {
-        const sim::SimTime now = sim_.now();
-        if (byte == '+') {
-            const bool guardOk = plusCount_ > 0 || (now - lastDataByte_) >= kGuardTime;
-            plusCount_ = guardOk ? plusCount_ + 1 : 0;
-            if (plusCount_ == 0) {
-                // '+' runs inside flowing data are escape attempts
-                // without the guard silence — three in a row is the
-                // "+++ spam" signature (counted, never escapes).
-                if (++rawPlusRun_ >= 3) {
-                    escapeSpamMetric_.inc();
-                    rawPlusRun_ = 0;
-                }
-            } else {
-                rawPlusRun_ = 0;
-            }
-            if (plusCount_ == 3) {
-                // Arm the trailing guard: if nothing follows for a
-                // guard time, escape fires.
-                if (escapeTimer_.valid()) sim_.cancel(escapeTimer_);
-                escapeTimer_ = sim_.schedule(kGuardTime, [this] {
-                    escapeTimer_ = {};
-                    plusCount_ = 0;
-                    log_.info() << "escape sequence detected";
-                    if (onEscape) onEscape();
-                });
-            }
-        } else {
+    // Scan for the escape sequence: guard, "+++", guard. The clock
+    // cannot move inside one chunk, so it is read once. A run of bytes
+    // other than '+' applies the per-byte reset once (it is
+    // idempotent), then the scan jumps to the next '+'.
+    const sim::SimTime now = sim_.now();
+    const std::uint8_t* cursor = data.data();
+    const std::uint8_t* const end = cursor + data.size();
+    while (cursor != end) {
+        if (*cursor != '+') {
             plusCount_ = 0;
             rawPlusRun_ = 0;
             if (escapeTimer_.valid()) {
                 sim_.cancel(escapeTimer_);
                 escapeTimer_ = {};
             }
+            lastDataByte_ = now;
+            cursor = nextPlus(cursor + 1, end);
+            continue;
+        }
+        const bool guardOk = plusCount_ > 0 || (now - lastDataByte_) >= kGuardTime;
+        plusCount_ = guardOk ? plusCount_ + 1 : 0;
+        if (plusCount_ == 0) {
+            // '+' runs inside flowing data are escape attempts
+            // without the guard silence — three in a row is the
+            // "+++ spam" signature (counted, never escapes).
+            if (++rawPlusRun_ >= 3) {
+                escapeSpamMetric_.inc();
+                rawPlusRun_ = 0;
+            }
+        } else {
+            rawPlusRun_ = 0;
+        }
+        if (plusCount_ == 3) {
+            // Arm the trailing guard: if nothing follows for a
+            // guard time, escape fires.
+            if (escapeTimer_.valid()) sim_.cancel(escapeTimer_);
+            escapeTimer_ = sim_.schedule(kGuardTime, [this] {
+                escapeTimer_ = {};
+                plusCount_ = 0;
+                log_.info() << "escape sequence detected";
+                if (onEscape) onEscape();
+            });
         }
         lastDataByte_ = now;
+        ++cursor;
     }
 }
 

@@ -210,7 +210,9 @@ util::Result<EmbeddedDatagram> parseIcmpErrorPayload(util::ByteView payload) {
     reader.u16();  // checksum
     embedded.src = Ipv4Address{reader.u32()};
     embedded.dst = Ipv4Address{reader.u32()};
-    if (embedded.protocol == IpProto::udp && reader.remaining() >= 4) {
+    // UDP and TCP headers both open with the source and destination ports.
+    if ((embedded.protocol == IpProto::udp || embedded.protocol == IpProto::tcp) &&
+        reader.remaining() >= 4) {
         embedded.srcPort = reader.u16();
         embedded.dstPort = reader.u16();
     }

@@ -125,7 +125,7 @@ struct Packet {
 
 /// Parse the original-datagram headers embedded in an ICMP error
 /// payload (enough of them to identify the flow: addresses, protocol,
-/// and for UDP the ports).
+/// and for UDP and TCP the ports).
 struct EmbeddedDatagram {
     Ipv4Address src;
     Ipv4Address dst;

@@ -19,7 +19,7 @@ void Traceroute::run(Ipv4Address destination,
         // original datagram (dst port encodes the TTL).
         const auto embedded =
             parseIcmpErrorPayload({error.payload.data(), error.payload.size()});
-        if (!embedded.ok()) return;
+        if (!embedded.ok() || embedded.value().protocol != IpProto::udp) return;
         if (embedded.value().dst != destination_) return;
         const int ttl = int(embedded.value().dstPort) - int(options_.basePort);
         if (ttl != int(hops_.size()) + 1) return;  // stale probe

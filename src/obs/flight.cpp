@@ -1,6 +1,11 @@
 #include "obs/flight.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -27,6 +32,68 @@ void copyTruncated(char* out, std::size_t capacity, std::string_view text) noexc
     // An empty view may carry a null data(); memcpy's source must not be.
     if (n != 0) std::memcpy(out, text.data(), n);
     out[n] = '\0';
+}
+
+/// flight.json sink for the crash dump: fills a caller-owned buffer
+/// and write(2)s it out whenever it is full. Async-signal-safe.
+class FdSink {
+  public:
+    FdSink(int fd, char* buffer, std::size_t capacity) noexcept
+        : fd_(fd), buffer_(buffer), capacity_(capacity) {}
+
+    void put(char c) noexcept {
+        if (used_ == capacity_) flush();
+        buffer_[used_++] = c;
+    }
+    void put(std::string_view text) noexcept {
+        for (const char c : text) put(c);
+    }
+
+    /// Write out what is buffered; false once any write has failed.
+    bool flush() noexcept {
+        std::size_t done = 0;
+        while (ok_ && done < used_) {
+            const ssize_t n = ::write(fd_, buffer_ + done, used_ - done);
+            if (n > 0)
+                done += std::size_t(n);
+            else if (n < 0 && errno == EINTR)
+                continue;
+            else
+                ok_ = false;
+        }
+        used_ = 0;
+        return ok_;
+    }
+
+  private:
+    int fd_;
+    char* buffer_;
+    std::size_t capacity_;
+    std::size_t used_ = 0;
+    bool ok_ = true;
+};
+
+/// Decimal digits of `value` into the tail of `digits`; returns the
+/// view of them.
+std::string_view formatUnsigned(std::uint64_t value, char (&digits)[20]) noexcept {
+    std::size_t at = sizeof digits;
+    do {
+        digits[--at] = char('0' + value % 10);
+        value /= 10;
+    } while (value != 0);
+    return {digits + at, sizeof digits - at};
+}
+
+template <class Sink>
+void putUnsigned(Sink& sink, std::uint64_t value) {
+    char digits[20];
+    sink.put(formatUnsigned(value, digits));
+}
+
+template <class Sink>
+void putSigned(Sink& sink, std::int64_t value) {
+    if (value < 0) sink.put('-');
+    putUnsigned(sink, value < 0 ? 0 - std::uint64_t(value) : std::uint64_t(value));
 }
 
 }  // namespace
@@ -73,7 +140,9 @@ FlightRecorder::~FlightRecorder() {
 void FlightRecorder::setDumpPath(std::string path) {
     dumpPath_ = std::move(path);
     dumped_ = false;
-    if (!dumpPath_.empty()) crashTarget.store(this);
+    if (dumpPath_.empty()) return;
+    if (!crashBuffer_) crashBuffer_ = std::make_unique_for_overwrite<char[]>(kCrashBufferBytes);
+    crashTarget.store(this);
 }
 
 void FlightRecorder::note(FlightKind kind, std::string_view category,
@@ -115,30 +184,42 @@ void FlightRecorder::clear() noexcept {
     dumped_ = false;
 }
 
-std::string FlightRecorder::exportJson(std::string_view reason) const {
-    std::string out = "{\"reason\":";
-    util::appendJsonQuoted(out, reason);
-    out += ",\"dropped\":" + std::to_string(dropped_);
-    out += ",\"entries\":[";
+template <class Sink>
+void FlightRecorder::writeJson(Sink& sink, std::string_view reason) const {
+    sink.put("{\"reason\":");
+    util::putJsonQuoted(sink, reason);
+    sink.put(",\"dropped\":");
+    putUnsigned(sink, dropped_);
+    sink.put(",\"entries\":[");
     const std::size_t start = size_ == ring_.size() ? head_ : 0;
     for (std::size_t i = 0; i < size_; ++i) {
         const FlightEntry& entry = ring_[(start + i) % ring_.size()];
-        if (i) out += ',';
-        out += "{\"kind\":\"";
-        out += flightKindName(entry.kind);
-        out += "\",\"t_ns\":" + std::to_string(entry.timeNs);
-        out += ",\"cat\":";
-        util::appendJsonQuoted(out, entry.categoryView());
-        out += ",\"name\":";
-        util::appendJsonQuoted(out, entry.nameView());
+        if (i) sink.put(',');
+        sink.put("{\"kind\":\"");
+        sink.put(flightKindName(entry.kind));
+        sink.put("\",\"t_ns\":");
+        putSigned(sink, entry.timeNs);
+        sink.put(",\"cat\":");
+        util::putJsonQuoted(sink, entry.categoryView());
+        sink.put(",\"name\":");
+        util::putJsonQuoted(sink, entry.nameView());
         if (entry.detail[0] != '\0') {
-            out += ",\"detail\":";
-            util::appendJsonQuoted(out, entry.detailView());
+            sink.put(",\"detail\":");
+            util::putJsonQuoted(sink, entry.detailView());
         }
-        if (entry.value != 0) out += ",\"value\":" + std::to_string(entry.value);
-        out += '}';
+        if (entry.value != 0) {
+            sink.put(",\"value\":");
+            putSigned(sink, entry.value);
+        }
+        sink.put('}');
     }
-    out += "]}\n";
+    sink.put("]}\n");
+}
+
+std::string FlightRecorder::exportJson(std::string_view reason) const {
+    std::string out;
+    util::StringSink sink{out};
+    writeJson(sink, reason);
     return out;
 }
 
@@ -162,6 +243,38 @@ util::Result<void> FlightRecorder::dump(std::string_view reason, const std::stri
     }
     ++dumps_;
     return util::Result<void>{};
+}
+
+void FlightRecorder::writeCrashDump(int signal) noexcept {
+    if (dumpPath_.empty() || !crashBuffer_) return;
+    // Create the parent directories in the buffer's copy of the path.
+    char* const scratch = crashBuffer_.get();
+    if (dumpPath_.size() < kCrashBufferBytes) {
+        std::memcpy(scratch, dumpPath_.c_str(), dumpPath_.size() + 1);
+        for (std::size_t i = 1; i < dumpPath_.size(); ++i) {
+            if (scratch[i] != '/') continue;
+            scratch[i] = '\0';
+            (void)::mkdir(scratch, 0777);
+            scratch[i] = '/';
+        }
+    }
+    const int fd = ::open(dumpPath_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+    if (fd < 0) {
+        ++dumpFailures_;
+        return;
+    }
+    char reason[40] = "fatal signal ";
+    char digits[20];
+    const std::string_view number = formatUnsigned(std::uint64_t(signal < 0 ? 0 : signal), digits);
+    std::memcpy(reason + 13, number.data(), number.size());
+    FdSink sink{fd, scratch, kCrashBufferBytes};
+    writeJson(sink, std::string_view{reason, 13 + number.size()});
+    const bool written = sink.flush();
+    ::close(fd);
+    if (written)
+        ++dumps_;
+    else
+        ++dumpFailures_;
 }
 
 void FlightRecorder::requestDump(std::string_view reason) noexcept {
@@ -200,15 +313,9 @@ void registerFlightAndProfileMetricFamilies(Registry& registry) {
 namespace {
 
 void crashHandler(int signal) {
-    // Best effort, knowingly not async-signal-pure: the process is
-    // already dying and the alternative is losing the black box. The
-    // ring itself is preallocated, so the only allocation risk is the
-    // JSON string.
-    if (FlightRecorder* recorder = crashTarget.load()) {
-        std::string reason = "fatal signal ";
-        reason += std::to_string(signal);
-        (void)recorder->dump(reason, recorder->dumpPath());
-    }
+    // Only async-signal-safe calls from here on: the crash may have
+    // happened inside malloc or stdio.
+    if (FlightRecorder* recorder = crashTarget.load()) recorder->writeCrashDump(signal);
     std::signal(signal, SIG_DFL);
     std::raise(signal);
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,7 +88,8 @@ class FlightRecorder {
 
     /// Where requestDump() writes flight.json. Setting a path also
     /// registers this recorder as the crash-dump target (last setter
-    /// wins) when installCrashDump() has been called.
+    /// wins) when installCrashDump() has been called, and allocates the
+    /// fixed buffer writeCrashDump() serializes through.
     void setDumpPath(std::string path);
     [[nodiscard]] const std::string& dumpPath() const noexcept { return dumpPath_; }
 
@@ -128,6 +130,13 @@ class FlightRecorder {
     void requestDump(std::string_view reason) noexcept;
     [[nodiscard]] std::uint64_t dumps() const noexcept { return dumps_; }
 
+    /// The fatal-signal dump: writes the same document as exportJson()
+    /// with reason "fatal signal <signal>" to the dump path, creating
+    /// its directories. Async-signal-safe: no heap allocation and no
+    /// stdio, only mkdir/open/write/close through the buffer that
+    /// setDumpPath() allocated. A no-op when no dump path is set.
+    void writeCrashDump(int signal) noexcept;
+
     /// Copy recorder.* counters into `registry` (delta-synced: safe to
     /// call repeatedly). Called by telemetry export and dump so the
     /// metric families pre-registered at context creation carry live
@@ -135,6 +144,13 @@ class FlightRecorder {
     void syncMetrics(Registry& registry) const;
 
   private:
+    /// Serialize the ring as flight.json into `sink` (put(char) and
+    /// put(std::string_view)). One serializer for both dump paths.
+    template <class Sink>
+    void writeJson(Sink& sink, std::string_view reason) const;
+
+    static constexpr std::size_t kCrashBufferBytes = 64 * 1024;
+
     bool enabled_ = true;
     std::function<std::int64_t()> clock_;
     std::vector<FlightEntry> ring_;
@@ -146,6 +162,7 @@ class FlightRecorder {
     std::uint64_t dumpFailures_ = 0;
     bool dumped_ = false;  ///< requestDump already fired for this run
     std::string dumpPath_;
+    std::unique_ptr<char[]> crashBuffer_;  ///< kCrashBufferBytes, for writeCrashDump()
 };
 
 /// Pre-register every recorder.* and profile.* metric family so a

@@ -134,8 +134,7 @@ void UmtsNetwork::natOutbound(net::Packet& pkt, const std::string& oif) {
     } else {
         return;  // untranslatable: leave it (it will likely die upstream)
     }
-    const std::string flowKey =
-        util::format("%d/%08x:%u", proto, pkt.ip.src.value(), *port);
+    const FlowKey flowKey{pkt.ip.src.value(), 0, *port, 0, std::uint8_t(proto)};
     auto it = natByFlow_.find(flowKey);
     if (it == natByFlow_.end()) {
         // Quota check (and table hygiene) before the allocation: a
@@ -150,7 +149,8 @@ void UmtsNetwork::natOutbound(net::Packet& pkt, const std::string& oif) {
             NatBinding{pkt.ip.src, *port, sim_.now(), flowKey};
         ++natBySubscriber_[pkt.ip.src.value()];
         it = natByFlow_.emplace(flowKey, publicPort).first;
-        log_.debug() << "NAT bind " << flowKey << " -> " << publicPort;
+        log_.debug() << "NAT bind " << util::format("%d/%08x:%u", proto, pkt.ip.src.value(), *port)
+                     << " -> " << publicPort;
     } else {
         const auto binding = natBindings_.find((std::uint32_t(proto) << 16) | it->second);
         if (binding != natBindings_.end()) binding->second.lastActivity = sim_.now();
@@ -519,9 +519,18 @@ void UmtsNetwork::deactivatePdp(UmtsSession* session) {
     sessions_.erase(it);
 }
 
+std::size_t FlowKeyHash::operator()(const FlowKey& key) const noexcept {
+    std::uint64_t h = (std::uint64_t(key.srcAddr) << 32) | key.dstAddr;
+    h ^= ((std::uint64_t(key.srcPort) << 24) | (std::uint64_t(key.dstPort) << 8) | key.proto) *
+         0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+    h *= 0xbf58476d1ce4e5b9ull;
+    return std::size_t(h ^ (h >> 32));
+}
+
 namespace {
 
-std::string flowKey(const net::Packet& pkt, bool reverse) {
+FlowKey flowKey(const net::Packet& pkt, bool reverse) {
     const net::Ipv4Address a = reverse ? pkt.ip.dst : pkt.ip.src;
     const net::Ipv4Address b = reverse ? pkt.ip.src : pkt.ip.dst;
     std::uint16_t portA = 0;
@@ -535,19 +544,52 @@ std::string flowKey(const net::Packet& pkt, bool reverse) {
     } else if (pkt.ip.protocol == net::IpProto::icmp) {
         portA = portB = pkt.icmp.id;  // echo id pairs request/reply
     }
-    return util::format("%u/%08x:%u>%08x:%u", unsigned(pkt.ip.protocol), a.value(), portA,
-                        b.value(), portB);
+    return {a.value(), b.value(), portA, portB, std::uint8_t(pkt.ip.protocol)};
+}
+
+/// Digits of `value` in decimal, most significant first, as base-12
+/// symbols over `width` positions: '0'..'9' map to 1..10 and the
+/// positions past the last digit hold `pad`. Comparing the results
+/// compares the decimal strings followed by a delimiter that sorts
+/// below the digits (pad 0) or above them (pad 11).
+std::uint64_t decimalRank(unsigned value, int width, std::uint64_t pad) {
+    char digits[8];
+    int count = 0;
+    do {
+        digits[count++] = char(value % 10);
+        value /= 10;
+    } while (value != 0);
+    std::uint64_t rank = 0;
+    for (int i = 0; i < width; ++i)
+        rank = rank * 12 + (i < count ? std::uint64_t(digits[count - 1 - i]) + 1 : pad);
+    return rank;
+}
+
+/// Eviction tie-break: orders flows exactly as their text form
+/// "proto/srcaddr:srcport>dstaddr:dstport" (decimal proto and ports,
+/// %08x addresses) sorts as a string. '/' and the string's end sort
+/// below the digits, '>' above them, so "1000>" < "999>" and
+/// "10000>" < "1000>". The fixed-width hex addresses compare as
+/// numbers. 3 + 32 + 5 base-12 positions fill 61 bits of `high`,
+/// 32 + 5 positions 50 bits of `low`.
+FlowRank flowRank(const FlowKey& key) {
+    const std::uint64_t proto = decimalRank(key.proto, 3, 0);
+    const std::uint64_t srcPort = decimalRank(key.srcPort, 5, 11);
+    const std::uint64_t dstPort = decimalRank(key.dstPort, 5, 0);
+    constexpr std::uint64_t kPortSpan = 248'832;  // 12^5
+    return {(proto << 32 | key.srcAddr) * kPortSpan + srcPort,
+            std::uint64_t(key.dstAddr) * kPortSpan + dstPort};
 }
 
 }  // namespace
 
-void UmtsNetwork::eraseFlow(const std::map<std::string, FlowEntry>::iterator& it) {
+void UmtsNetwork::eraseFlow(FlowTable::iterator it) {
     const auto count = flowsBySrc_.find(it->second.src);
     if (count != flowsBySrc_.end() && --count->second == 0) flowsBySrc_.erase(count);
     flows_.erase(it);
 }
 
-void UmtsNetwork::recordFlow(const std::string& key, std::uint32_t src) {
+void UmtsNetwork::recordFlow(const FlowKey& key, std::uint32_t src) {
     const sim::SimTime now = sim_.now();
     const auto existing = flows_.find(key);
     if (existing != flows_.end()) {
@@ -578,12 +620,15 @@ void UmtsNetwork::recordFlow(const std::string& key, std::uint32_t src) {
         while (flows_.size() >= guard.maxFirewallFlows) {
             auto oldest = flows_.begin();
             for (auto victim = flows_.begin(); victim != flows_.end(); ++victim)
-                if (victim->second.last < oldest->second.last) oldest = victim;
+                if (victim->second.last < oldest->second.last ||
+                    (victim->second.last == oldest->second.last &&
+                     victim->second.rank < oldest->second.rank))
+                    oldest = victim;
             obs::Registry::instance().counter("guard.firewall.evicted").inc();
             eraseFlow(oldest);
         }
     }
-    flows_.emplace(key, FlowEntry{now, src});
+    flows_.emplace(key, FlowEntry{now, src, flowRank(key)});
     ++flowsBySrc_[src];
 }
 
@@ -609,13 +654,10 @@ bool UmtsNetwork::forwardAllowed(const net::Packet& pkt, const std::string& iif)
         const auto embedded =
             net::parseIcmpErrorPayload({pkt.payload.data(), pkt.payload.size()});
         if (embedded.ok()) {
-            net::Packet original;
-            original.ip.src = embedded.value().src;
-            original.ip.dst = embedded.value().dst;
-            original.ip.protocol = embedded.value().protocol;
-            original.udp.srcPort = embedded.value().srcPort;
-            original.udp.dstPort = embedded.value().dstPort;
-            const auto related = flows_.find(flowKey(original, /*reverse=*/false));
+            const net::EmbeddedDatagram& original = embedded.value();
+            const auto related = flows_.find(FlowKey{original.src.value(), original.dst.value(),
+                                                     original.srcPort, original.dstPort,
+                                                     std::uint8_t(original.protocol)});
             if (related != flows_.end() && now - related->second.last <= flowTimeout_)
                 return true;
         }

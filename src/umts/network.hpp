@@ -1,9 +1,11 @@
 #pragma once
 
+#include <compare>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "net/dns.hpp"
 #include "net/internet.hpp"
@@ -17,6 +19,27 @@
 namespace onelab::umts {
 
 class UmtsNetwork;
+
+/// Packed 5-tuple keying the GGSN's firewall and NAT tables.
+struct FlowKey {
+    std::uint32_t srcAddr = 0;
+    std::uint32_t dstAddr = 0;
+    std::uint16_t srcPort = 0;
+    std::uint16_t dstPort = 0;
+    std::uint8_t proto = 0;
+    bool operator==(const FlowKey&) const = default;
+};
+
+struct FlowKeyHash {
+    std::size_t operator()(const FlowKey& key) const noexcept;
+};
+
+/// Total order over flows for the firewall's eviction tie-break.
+struct FlowRank {
+    std::uint64_t high = 0;
+    std::uint64_t low = 0;
+    auto operator<=>(const FlowRank&) const = default;
+};
 
 /// One active PDP context: the UE's pipe into the operator network.
 /// The modem bridges its TTY to `ueChannel()` while in data mode; the
@@ -165,10 +188,14 @@ class UmtsNetwork {
     void addDnsRecord(const std::string& name, net::Ipv4Address address);
     [[nodiscard]] net::DnsServer& dns() noexcept { return *dns_; }
 
+    /// The GGSN's forward filter: whether the stateful firewall passes
+    /// `pkt` arriving on interface `iif` ("wan" is the Internet side).
+    /// A subscriber-originated packet records or refreshes its flow.
+    bool forwardAllowed(const net::Packet& pkt, const std::string& iif);
+
   private:
     friend class UmtsSession;
 
-    bool forwardAllowed(const net::Packet& pkt, const std::string& iif);
     net::Ipv4Address allocateSubscriberAddress();
     void releaseSubscriberAddress(net::Ipv4Address addr);
     void installSession(UmtsSession& session);
@@ -198,17 +225,21 @@ class UmtsNetwork {
     std::uint32_t nextHostOffset_ = 16;
     std::vector<net::Ipv4Address> freedAddresses_;
 
-    // Stateful firewall flow table: key -> (last activity, subscriber
-    // src). Bounded by natGuard.maxFirewallFlows with expired-first
-    // purge then oldest eviction; the per-subscriber quota keeps one
-    // subscriber's flow spray from evicting a victim's state.
+    // Stateful firewall flow table: 5-tuple -> (last activity,
+    // subscriber src). Bounded by natGuard.maxFirewallFlows with
+    // expired-first purge then oldest eviction; the per-subscriber
+    // quota keeps one subscriber's flow spray from evicting a victim's
+    // state. Eviction ties on `last` go to the lowest `rank` (see
+    // flowRank in network.cpp), fixed when the flow is recorded.
     struct FlowEntry {
         sim::SimTime last{0};
         std::uint32_t src = 0;
+        FlowRank rank;
     };
-    void recordFlow(const std::string& key, std::uint32_t src);
-    void eraseFlow(const std::map<std::string, FlowEntry>::iterator& it);
-    std::map<std::string, FlowEntry> flows_;
+    using FlowTable = std::unordered_map<FlowKey, FlowEntry, FlowKeyHash>;
+    void recordFlow(const FlowKey& key, std::uint32_t src);
+    void eraseFlow(FlowTable::iterator it);
+    FlowTable flows_;
     std::map<std::uint32_t, std::size_t> flowsBySrc_;
     sim::SimTime flowTimeout_ = sim::seconds(300.0);
     std::uint64_t firewallBlocked_ = 0;
@@ -222,14 +253,15 @@ class UmtsNetwork {
         net::Ipv4Address subscriber;
         std::uint16_t subscriberPort = 0;
         sim::SimTime lastActivity{0};
-        std::string flowKey;  ///< the natByFlow_ entry to drop with this binding
+        FlowKey flowKey;  ///< the natByFlow_ entry to drop with this binding
     };
     void dropNatBinding(const std::map<std::uint32_t, NatBinding>::iterator& it);
     /// Make room for one more binding for `subscriber`. Returns false
     /// when the per-subscriber quota denies the allocation.
     bool reserveNatBinding(net::Ipv4Address subscriber);
     std::map<std::uint32_t, NatBinding> natBindings_;   ///< key: proto<<16 | publicPort
-    std::map<std::string, std::uint16_t> natByFlow_;    ///< subscriber flow -> public port
+    /// Subscriber flow (proto, src, srcPort) -> public port.
+    std::unordered_map<FlowKey, std::uint16_t, FlowKeyHash> natByFlow_;
     std::map<std::uint32_t, std::size_t> natBySubscriber_;
     std::uint16_t nextNatPort_ = 20000;
     std::uint64_t natTranslations_ = 0;

@@ -76,25 +76,8 @@ void JsonValue::set(std::string key, JsonValue value) {
 }
 
 void appendJsonQuoted(std::string& out, std::string_view text) {
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
+    StringSink sink{out};
+    putJsonQuoted(sink, text);
 }
 
 void appendJsonNumber(std::string& out, double value) {

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.hpp"
@@ -73,6 +74,41 @@ class JsonValue {
     std::string string_;
     std::vector<JsonValue> array_;
     std::vector<std::pair<std::string, JsonValue>> members_;
+};
+
+/// Write `text` JSON-escaped (with surrounding quotes) into `sink`,
+/// anything with put(char) and put(std::string_view). Allocates
+/// nothing itself, so a signal handler can use it with a fixed-buffer
+/// sink (obs::FlightRecorder's crash dump does).
+template <class Sink>
+void putJsonQuoted(Sink& sink, std::string_view text) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    sink.put('"');
+    for (const char c : text) {
+        switch (c) {
+            case '"': sink.put("\\\""); break;
+            case '\\': sink.put("\\\\"); break;
+            case '\n': sink.put("\\n"); break;
+            case '\r': sink.put("\\r"); break;
+            case '\t': sink.put("\\t"); break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    sink.put("\\u00");
+                    sink.put(kHex[c >> 4]);
+                    sink.put(kHex[c & 0xf]);
+                } else {
+                    sink.put(c);
+                }
+        }
+    }
+    sink.put('"');
+}
+
+/// The putJsonQuoted/put sink that appends to a std::string.
+struct StringSink {
+    std::string& out;
+    void put(char c) { out += c; }
+    void put(std::string_view text) { out += text; }
 };
 
 /// Append `text` JSON-escaped (with surrounding quotes) to `out`.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+
 namespace onelab::ditg {
 namespace {
 
@@ -165,6 +169,90 @@ TEST(ItgDec, DuplicateArrivalsCountOnceInSummary) {
     EXPECT_EQ(summary.received, 8u);  // 8 unique of 9 arrivals
     EXPECT_EQ(summary.lost, 2u);
     EXPECT_NEAR(summary.meanOwdSeconds, 0.050, 1e-9);  // dup's OWD excluded
+}
+
+
+/// Seeded logs with duplicates, reordering and sequence numbers far
+/// apart: runs near 0, 2^31 and the top of the 32-bit range.
+struct ScatteredLogs {
+    explicit ScatteredLogs(std::uint32_t seed) {
+        std::mt19937 rng(seed);
+        const std::uint32_t bases[] = {0u, 0x80000000u, 0xfffffff0u};
+        std::int64_t txMs = 0;
+        for (const std::uint32_t base : bases) {
+            for (std::uint32_t offset = 0; offset < 16; ++offset) {
+                TxRecord tx;
+                tx.sequence = base + offset;
+                tx.payloadBytes = 100 + rng() % 900;
+                tx.txTime = millis(double(txMs));
+                txMs += 1 + std::int64_t(rng() % 40);
+                sender.packets.push_back(tx);
+                if (rng() % 5 == 0) continue;  // lost
+                const int copies = rng() % 4 == 0 ? 2 + int(rng() % 2) : 1;
+                for (int copy = 0; copy < copies; ++copy) {
+                    RxRecord rx;
+                    rx.flowId = 1;
+                    rx.sequence = tx.sequence;
+                    rx.payloadBytes = tx.payloadBytes;
+                    rx.txTime = tx.txTime;
+                    rx.rxTime = tx.txTime + millis(20.0 + double(rng() % 400));
+                    receiver.packets.push_back(rx);
+                }
+                if (rng() % 2 == 0)
+                    sender.rtts.push_back(RttRecord{tx.sequence, tx.txTime, millis(80)});
+            }
+        }
+        // The receiver logs in arrival order, which reorders sequences.
+        std::stable_sort(receiver.packets.begin(), receiver.packets.end(),
+                         [](const RxRecord& a, const RxRecord& b) { return a.rxTime < b.rxTime; });
+    }
+    SenderLog sender;
+    ReceiverLog receiver;
+};
+
+TEST(ItgDec, LossAndDedupMatchSetReference) {
+    for (const std::uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+        SCOPED_TRACE(seed);
+        const ScatteredLogs logs(seed);
+        const double window = 0.2;
+
+        // decode: a sent sequence is lost unless some arrival carries it.
+        std::set<std::uint32_t> delivered;
+        for (const RxRecord& rx : logs.receiver.packets) delivered.insert(rx.sequence);
+        const QosSeries series = ItgDec::decode(logs.sender, logs.receiver, window);
+        std::vector<double> expectedLoss(series.lossPackets.size(), 0.0);
+        const sim::SimTime start = logs.sender.packets.front().txTime;
+        for (const TxRecord& tx : logs.sender.packets) {
+            if (delivered.count(tx.sequence)) continue;
+            const auto w = std::size_t(sim::toSeconds(tx.txTime - start) / window);
+            ASSERT_LT(w, expectedLoss.size());
+            expectedLoss[w] += 1.0;
+        }
+        ASSERT_EQ(series.lossPackets.size(), expectedLoss.size());
+        for (std::size_t w = 0; w < expectedLoss.size(); ++w)
+            EXPECT_EQ(series.lossPackets[w].value, expectedLoss[w]) << "window " << w;
+
+        // summarize: only the first arrival of each sequence counts, in
+        // arrival order. A log deduplicated that way summarizes the same.
+        ReceiverLog firstArrivals;
+        std::set<std::uint32_t> seen;
+        for (const RxRecord& rx : logs.receiver.packets)
+            if (seen.insert(rx.sequence).second) firstArrivals.packets.push_back(rx);
+        ASSERT_LT(firstArrivals.packets.size(), logs.receiver.packets.size());
+        const QosSummary got = ItgDec::summarize(logs.sender, logs.receiver);
+        const QosSummary want = ItgDec::summarize(logs.sender, firstArrivals);
+        EXPECT_EQ(got.sent, logs.sender.packets.size());
+        EXPECT_EQ(got.received, firstArrivals.packets.size());
+        EXPECT_EQ(got.lost, logs.sender.packets.size() - firstArrivals.packets.size());
+        EXPECT_EQ(got.lossRate, want.lossRate);
+        EXPECT_EQ(got.meanBitrateKbps, want.meanBitrateKbps);
+        EXPECT_EQ(got.maxBitrateKbps, want.maxBitrateKbps);
+        EXPECT_EQ(got.meanJitterSeconds, want.meanJitterSeconds);
+        EXPECT_EQ(got.maxJitterSeconds, want.maxJitterSeconds);
+        EXPECT_EQ(got.meanRttSeconds, want.meanRttSeconds);
+        EXPECT_EQ(got.maxRttSeconds, want.maxRttSeconds);
+        EXPECT_EQ(got.meanOwdSeconds, want.meanOwdSeconds);
+    }
 }
 
 }  // namespace

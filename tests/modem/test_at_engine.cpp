@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 namespace onelab::modem {
 namespace {
 
@@ -258,6 +261,107 @@ TEST_F(AtEngineTest, RawPlusSpamCountedButNeverEscapes) {
     EXPECT_FALSE(escaped);
     EXPECT_TRUE(engine.inDataMode());
     EXPECT_EQ(counterValue("guard.at.escape_spam"), before + 3);
+}
+
+
+/// The plain per-byte escape scan: one clock read and one decision per
+/// byte. The reference model the chunked scan in AtEngine must match.
+struct ReferenceEscapeScan {
+    explicit ReferenceEscapeScan(sim::Simulator& simulator) : sim(simulator) {}
+
+    void scan(util::ByteView data) {
+        for (const std::uint8_t byte : data) {
+            const sim::SimTime now = sim.now();
+            if (byte == '+') {
+                const bool guardOk = plusCount > 0 || (now - lastDataByte) >= kGuard;
+                plusCount = guardOk ? plusCount + 1 : 0;
+                if (plusCount == 0) {
+                    if (++rawPlusRun >= 3) {
+                        ++spam;
+                        rawPlusRun = 0;
+                    }
+                } else {
+                    rawPlusRun = 0;
+                }
+                if (plusCount == 3) {
+                    if (escapeTimer.valid()) sim.cancel(escapeTimer);
+                    escapeTimer = sim.schedule(kGuard, [this] {
+                        escapeTimer = {};
+                        plusCount = 0;
+                        escapes.push_back(sim.now());
+                    });
+                }
+            } else {
+                plusCount = 0;
+                rawPlusRun = 0;
+                if (escapeTimer.valid()) {
+                    sim.cancel(escapeTimer);
+                    escapeTimer = {};
+                }
+            }
+            lastDataByte = now;
+        }
+    }
+
+    static constexpr sim::SimTime kGuard = sim::millis(1000);
+    sim::Simulator& sim;
+    sim::SimTime lastDataByte{-10'000'000'000};
+    int plusCount = 0;
+    int rawPlusRun = 0;
+    sim::EventHandle escapeTimer;
+    std::vector<sim::SimTime> escapes;
+    std::uint64_t spam = 0;
+};
+
+TEST_F(AtEngineTest, ChunkedEscapeScanMatchesPerByteReference) {
+    std::uint64_t totalEscapes = 0;
+    std::uint64_t totalSpam = 0;
+    for (const std::uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+        SCOPED_TRACE(seed);
+        sim::Simulator simulator;
+        sim::Pipe link(simulator);
+        AtEngine scanner(simulator, "diff");
+        scanner.attachTty(link.b());
+        ReferenceEscapeScan reference(simulator);
+        std::vector<sim::SimTime> escapes;
+        scanner.onEscape = [&] { escapes.push_back(simulator.now()); };
+        // The sink sees each chunk right after the engine scanned it,
+        // at the same simulated instant: feed the reference from there.
+        scanner.enterDataModeShared(
+            [&](const util::SharedBytes& data) { reference.scan(data.view()); });
+        const std::uint64_t spamBefore = counterValue("guard.at.escape_spam");
+
+        std::mt19937 rng(seed);
+        const double plusDensity[] = {0.0, 0.02, 0.5, 0.9, 1.0};
+        const std::int64_t gapsMs[] = {1, 2, 500, 999, 1000, 1001, 1500, 2500};
+        for (int chunk = 0; chunk < 300; ++chunk) {
+            util::Bytes bytes;
+            if (rng() % 5 == 0) {
+                bytes.assign(1 + rng() % 3, '+');  // "+", "++" or "+++"
+            } else {
+                const double density = plusDensity[rng() % 5];
+                bytes.resize(1 + rng() % 1600);
+                for (std::uint8_t& byte : bytes) {
+                    const bool plus = double(rng() % 1000) < density * 1000.0;
+                    byte = plus ? '+' : std::uint8_t('a' + rng() % 26);
+                }
+            }
+            link.a().write({bytes.data(), bytes.size()});
+            // Gaps straddle the 1 s guard by a millisecond either way.
+            const std::int64_t gapMs =
+                std::max<std::int64_t>(gapsMs[rng() % 8] + std::int64_t(rng() % 3) - 1, 1);
+            simulator.runUntil(simulator.now() + sim::millis(double(gapMs)));
+        }
+        simulator.runUntil(simulator.now() + sim::seconds(3.0));
+
+        EXPECT_EQ(escapes, reference.escapes);
+        EXPECT_EQ(counterValue("guard.at.escape_spam") - spamBefore, reference.spam);
+        totalEscapes += reference.escapes.size();
+        totalSpam += reference.spam;
+    }
+    // The streams must exercise both outcomes, or the comparison is empty.
+    EXPECT_GT(totalEscapes, 0u);
+    EXPECT_GT(totalSpam, 0u);
 }
 
 }  // namespace

@@ -25,6 +25,18 @@ TEST(IcmpError, PayloadEmbedsOffendingDatagram) {
     EXPECT_EQ(embedded.value().dstPort, 33435);
 }
 
+TEST(IcmpError, PayloadCarriesTcpPorts) {
+    const Packet offending = makeTcpSegment(Ipv4Address{10, 0, 0, 1}, 40001,
+                                            Ipv4Address{10, 0, 0, 2}, 80, TcpHeader{});
+    const Packet error =
+        makeIcmpError(Ipv4Address{10, 0, 0, 254}, icmp_type::dest_unreachable, 1, offending);
+    const auto embedded = parseIcmpErrorPayload({error.payload.data(), error.payload.size()});
+    ASSERT_TRUE(embedded.ok());
+    EXPECT_EQ(embedded.value().protocol, IpProto::tcp);
+    EXPECT_EQ(embedded.value().srcPort, 40001);
+    EXPECT_EQ(embedded.value().dstPort, 80);
+}
+
 TEST(IcmpError, ParseRejectsGarbage) {
     EXPECT_FALSE(parseIcmpErrorPayload({}).ok());
     const util::Bytes junk(10, 0x60);  // version 6 nibble

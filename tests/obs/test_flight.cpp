@@ -7,6 +7,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "obs/flight.hpp"
@@ -153,6 +156,36 @@ TEST(FlightRecorder, SyncMetricsDeltaSyncsIntoRegistry) {
     EXPECT_EQ(registry.counter("recorder.entries").value(), 5u);
 }
 
+std::string readFile(const std::string& path) {
+    std::ifstream in{path, std::ios::binary};
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(FlightRecorder, CrashDumpWritesTheExportJsonDocument) {
+    // The signal-safe writer shares exportJson's serializer: a wrapped
+    // ring far larger than the crash buffer, with text that needs JSON
+    // escaping, must land byte for byte, and the dump path's missing
+    // directories are created.
+    FlightRecorder recorder;
+    for (int i = 0; i < 5000; ++i) {
+        const std::string detail = "quote\" \\ tab\t nl\n ctl\x01\x1f #" + std::to_string(i);
+        recorder.note(FlightKind::log, "cat\"", "name\\", detail,
+                      i % 3 == 0 ? -std::int64_t(i) * 1'000'000'007 : i);
+    }
+    const std::string dir = testing::TempDir() + "onelab_flight_crash_dir";
+    std::filesystem::remove_all(dir);
+    const std::string path = dir + "/nested/flight.json";
+    recorder.setDumpPath(path);
+    recorder.writeCrashDump(SIGSEGV);
+    EXPECT_EQ(recorder.dumps(), 1u);
+    const std::string expected = recorder.exportJson("fatal signal " + std::to_string(SIGSEGV));
+    ASSERT_GT(expected.size(), 64u * 1024u);
+    EXPECT_EQ(readFile(path), expected);
+    std::filesystem::remove_all(dir);
+}
+
 using FlightRecorderDeathTest = ::testing::Test;
 
 TEST(FlightRecorderDeathTest, FatalSignalDumpsTheBlackBox) {
@@ -176,6 +209,8 @@ TEST(FlightRecorderDeathTest, FatalSignalDumpsTheBlackBox) {
     ASSERT_NE(entries, nullptr);
     ASSERT_EQ(entries->array().size(), 1u);
     EXPECT_EQ(entries->array()[0].stringOr("name", ""), "about_to_crash");
+    // The child's ring was this process's ring at the fork.
+    EXPECT_EQ(readFile(path), recorder.exportJson("fatal signal " + std::to_string(SIGABRT)));
     std::remove(path.c_str());
     recorder.setDumpPath("");
     recorder.clear();

@@ -6,9 +6,9 @@ namespace onelab::umts {
 namespace {
 
 struct NetworkTest : ::testing::Test {
-    NetworkTest()
+    explicit NetworkTest(OperatorProfile profile = commercialItalianOperator())
         : internet(sim, util::RandomStream{5}),
-          network(sim, internet, commercialItalianOperator(), util::RandomStream{6}) {}
+          network(sim, internet, std::move(profile), util::RandomStream{6}) {}
 
     /// Attach + activate synchronously (driving the simulator).
     UmtsSession* bringUpSession(const std::string& imsi = "222880000000001") {
@@ -23,6 +23,13 @@ struct NetworkTest : ::testing::Test {
                             });
         sim.runUntil(sim.now() + sim::seconds(3.0));
         return session;
+    }
+
+    /// The GGSN's per-session interface (the non-wan one).
+    net::Interface* pdpInterface() {
+        for (const std::string& name : network.ggsn().interfaceNames())
+            if (name != "wan") return network.ggsn().findInterface(name);
+        return nullptr;
     }
 
     sim::Simulator sim;
@@ -444,6 +451,79 @@ TEST(NatGuardFlows, UnlimitedQuotaLetsChurnEvictVictim) {
     EXPECT_FALSE(network.hasFlowStateFor(victim));
     EXPECT_LE(network.firewallFlowCount(), 16u);
     EXPECT_GT(guardCounter("guard.firewall.evicted"), evictedBefore);
+}
+
+
+TEST_F(NetworkTest, FirewallAdmitsIcmpErrorsRelatedToTcpFlows) {
+    UmtsSession* session = bringUpSession();
+    ASSERT_NE(session, nullptr);
+    net::Interface* pdp = pdpInterface();
+    ASSERT_NE(pdp, nullptr);
+    const net::Ipv4Address server{138, 96, 250, 20};
+    const net::Ipv4Address router{138, 96, 0, 1};
+    net::TcpHeader syn;
+    syn.flags = net::tcp_flag::syn;
+    const net::Packet opened =
+        net::makeTcpSegment(session->subscriberAddress(), 40000, server, 80, syn);
+    pdp->deliver(net::Packet{opened});
+    ASSERT_EQ(network.firewallFlowCount(), 1u);
+
+    // An ICMP error quoting the recorded TCP flow is RELATED: admitted.
+    network.ggsn().findInterface("wan")->deliver(
+        net::makeIcmpError(router, net::icmp_type::dest_unreachable, 1, opened));
+    EXPECT_EQ(network.firewallBlockedInbound(), 0u);
+
+    // One quoting a TCP flow the subscriber never opened is not.
+    const net::Packet unknown =
+        net::makeTcpSegment(session->subscriberAddress(), 40001, server, 80, syn);
+    network.ggsn().findInterface("wan")->deliver(
+        net::makeIcmpError(router, net::icmp_type::dest_unreachable, 1, unknown));
+    EXPECT_EQ(network.firewallBlockedInbound(), 1u);
+}
+
+OperatorProfile fourFlowFirewallOperator() {
+    OperatorProfile profile = commercialItalianOperator();
+    profile.natGuard.maxFirewallFlows = 4;
+    profile.natGuard.perSubscriberQuota = 0;
+    return profile;
+}
+
+struct FirewallEvictionTest : NetworkTest {
+    FirewallEvictionTest() : NetworkTest(fourFlowFirewallOperator()) {}
+};
+
+TEST_F(FirewallEvictionTest, TiesOnLastActivityEvictInFlowTextOrder) {
+    UmtsSession* session = bringUpSession();
+    ASSERT_NE(session, nullptr);
+    net::Interface* pdp = pdpInterface();
+    ASSERT_NE(pdp, nullptr);
+    ASSERT_EQ(network.firewallFlowCount(), 0u);
+    const net::Ipv4Address subscriber = session->subscriberAddress();
+    const net::Ipv4Address dest{138, 96, 250, 20};
+    const std::uint16_t ports[] = {998, 999, 1000, 1001, 9998, 9999, 10000, 10001};
+
+    // Eight UDP flows at one instant into a four-flow table: every
+    // eviction is a tie on last activity. The tie goes to the flow
+    // whose text form "17/<src>:<port>><dst>:33001" sorts first, and
+    // '>' sorts after the digits, so the tie order of these ports is
+    // 10000, 10001, 1000, 1001, 998, 9998, 9999, 999. Adding
+    // 9998..10001 to {998, 999, 1000, 1001} evicts 1000, 1001, 998
+    // and 10000 in turn.
+    const std::uint64_t evictedBefore = guardCounter("guard.firewall.evicted");
+    for (const std::uint16_t port : {998, 999, 1000, 1001})
+        pdp->deliver(net::makeUdpPacket(subscriber, port, dest, 33001, {}));
+    (void)network.injectFlowChurn(subscriber, dest, 9998 - 1024, 4);
+    EXPECT_EQ(network.firewallFlowCount(), 4u);
+    EXPECT_EQ(guardCounter("guard.firewall.evicted"), evictedBefore + 4);
+
+    std::vector<std::uint16_t> survivors;
+    for (const std::uint16_t port : ports) {
+        const std::uint64_t blockedBefore = network.firewallBlockedInbound();
+        network.ggsn().findInterface("wan")->deliver(
+            net::makeUdpPacket(dest, 33001, subscriber, port, {}));
+        if (network.firewallBlockedInbound() == blockedBefore) survivors.push_back(port);
+    }
+    EXPECT_EQ(survivors, (std::vector<std::uint16_t>{999, 9998, 9999, 10001}));
 }
 
 }  // namespace
