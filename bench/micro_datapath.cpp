@@ -4,7 +4,7 @@
 //    the full send path with the paper's isolation rule set installed
 //    (the per-packet cost of the umts command's policy); the operator
 //    firewall's check on an established flow; the modem's data-mode
-//    "+++" escape scan over one 1500-byte chunk.
+//    "+++" escape scan over the chunk shapes that reach it.
 //
 //  - Framed byte path: HDLC encode/deframe goodput of the vectorized
 //    framer (bulk run scan + fused FCS) against an in-file replica of
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "ditg/flow.hpp"
 #include "modem/at_engine.hpp"
 #include "net/internet.hpp"
 #include "net/stack.hpp"
@@ -37,6 +38,7 @@
 #include "sim/pipe.hpp"
 #include "sim/simulator.hpp"
 #include "umts/network.hpp"
+#include "util/rand.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -167,25 +169,57 @@ class DirectTty final : public sim::ByteChannel {
     std::function<void(util::SharedBytes)> deliver;
 };
 
-/// The data-mode escape scan over one 1500-byte chunk: arg 0 holds no
-/// '+', arg 1 is dense with them (every other byte). Simulated time
-/// stands still, so no guard silence ever arms the escape.
+/// One chunk as the modem's data mode receives it from the host.
+util::Bytes escapeScanChunk(std::int64_t shape) {
+    switch (shape) {
+        case 0:
+            return util::Bytes(1500, 'x');
+        case 1:
+            // at_abuser's escape spam: a '+' run with no guard silence.
+            return util::Bytes(9, '+');
+        case 2: {
+            // at_abuser's line noise: 24 bytes drawn from 1..255.
+            util::RandomStream rng{11};
+            util::Bytes noise(24);
+            for (std::uint8_t& byte : noise) byte = std::uint8_t(rng.uniformInt(1, 255));
+            return noise;
+        }
+        default: {
+            // pppd's HDLC frame of one D-ITG probe: the paper's 1 Mbps
+            // CBR (1024 B payload) or G.711 VoIP (90 B payload).
+            ditg::ProbeHeader header;
+            header.flowId = 1;
+            header.sequence = 4242;
+            header.txTimeNs = 61'234'567'890;
+            const std::size_t payload = shape == 3 ? 1024 : 90;
+            const net::Packet pkt = net::makeUdpPacket({10, 47, 0, 16}, 8999, {138, 96, 250, 20},
+                                                       9000, header.encode(payload));
+            return ppp::encodeFrame({ppp::Protocol::ip, pkt.serialize()}, ppp::FramerConfig{});
+        }
+    }
+}
+
+/// The data-mode escape scan over the chunk shapes that reach it: a
+/// 1500-byte chunk with no '+', at_abuser's 9-'+' spam and 24-byte
+/// noise payloads, and PPP-framed D-ITG CBR and VoIP packets.
+/// Simulated time stands still, so no guard silence ever arms the
+/// escape.
 void BM_AtEscapeScan(benchmark::State& state) {
+    static const char* const kLabels[] = {"1500 B, no '+'", "at_abuser +++ spam",
+                                          "at_abuser noise", "PPP CBR 1024 B", "PPP VoIP 90 B"};
     sim::Simulator sim;
     DirectTty tty;
     modem::AtEngine engine{sim, "bench"};
     engine.attachTty(tty);
     engine.enterDataModeShared([](const util::SharedBytes&) {});
-    util::Bytes chunk(1500, 'x');
-    if (state.range(0) != 0)
-        for (std::size_t i = 0; i < chunk.size(); i += 2) chunk[i] = '+';
+    const util::Bytes chunk = escapeScanChunk(state.range(0));
     const util::SharedBytes shared = util::SharedBytes::copy({chunk.data(), chunk.size()});
     for (auto _ : state) tty.deliver(shared);
     state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(chunk.size()));
     state.SetItemsProcessed(state.iterations());
-    state.SetLabel(state.range(0) ? "dense '+'" : "no '+'");
+    state.SetLabel(kLabels[state.range(0)]);
 }
-BENCHMARK(BM_AtEscapeScan)->Arg(0)->Arg(1);
+BENCHMARK(BM_AtEscapeScan)->DenseRange(0, 4);
 
 // ---------------------------------------------------------------------------
 // Framed byte path: reference (pre-vectorization) framer, kept here as

@@ -75,21 +75,6 @@ void AtEngine::sendToHost(const util::SharedBytes& data) {
     if (tty_) tty_->write(data);
 }
 
-namespace {
-
-/// The first '+' in [from, end), or end. The first few bytes are
-/// checked inline: across short gaps a memchr call costs more than it
-/// saves.
-const std::uint8_t* nextPlus(const std::uint8_t* from, const std::uint8_t* end) {
-    for (int i = 0; i < 8 && from != end; ++i, ++from)
-        if (*from == '+') return from;
-    if (from == end) return end;
-    const void* plus = std::memchr(from, '+', std::size_t(end - from));
-    return plus ? static_cast<const std::uint8_t*>(plus) : end;
-}
-
-}  // namespace
-
 void AtEngine::scanEscapeSequence(util::ByteView data) {
     // Scan for the escape sequence: guard, "+++", guard. The clock
     // cannot move inside one chunk, so it is read once. A run of bytes
@@ -107,7 +92,8 @@ void AtEngine::scanEscapeSequence(util::ByteView data) {
                 escapeTimer_ = {};
             }
             lastDataByte_ = now;
-            cursor = nextPlus(cursor + 1, end);
+            const void* plus = std::memchr(cursor, '+', std::size_t(end - cursor));
+            cursor = plus ? static_cast<const std::uint8_t*>(plus) : end;
             continue;
         }
         const bool guardOk = plusCount_ > 0 || (now - lastDataByte_) >= kGuardTime;

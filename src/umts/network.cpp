@@ -547,38 +547,12 @@ FlowKey flowKey(const net::Packet& pkt, bool reverse) {
     return {a.value(), b.value(), portA, portB, std::uint8_t(pkt.ip.protocol)};
 }
 
-/// Digits of `value` in decimal, most significant first, as base-12
-/// symbols over `width` positions: '0'..'9' map to 1..10 and the
-/// positions past the last digit hold `pad`. Comparing the results
-/// compares the decimal strings followed by a delimiter that sorts
-/// below the digits (pad 0) or above them (pad 11).
-std::uint64_t decimalRank(unsigned value, int width, std::uint64_t pad) {
-    char digits[8];
-    int count = 0;
-    do {
-        digits[count++] = char(value % 10);
-        value /= 10;
-    } while (value != 0);
-    std::uint64_t rank = 0;
-    for (int i = 0; i < width; ++i)
-        rank = rank * 12 + (i < count ? std::uint64_t(digits[count - 1 - i]) + 1 : pad);
-    return rank;
-}
-
-/// Eviction tie-break: orders flows exactly as their text form
-/// "proto/srcaddr:srcport>dstaddr:dstport" (decimal proto and ports,
-/// %08x addresses) sorts as a string. '/' and the string's end sort
-/// below the digits, '>' above them, so "1000>" < "999>" and
-/// "10000>" < "1000>". The fixed-width hex addresses compare as
-/// numbers. 3 + 32 + 5 base-12 positions fill 61 bits of `high`,
-/// 32 + 5 positions 50 bits of `low`.
-FlowRank flowRank(const FlowKey& key) {
-    const std::uint64_t proto = decimalRank(key.proto, 3, 0);
-    const std::uint64_t srcPort = decimalRank(key.srcPort, 5, 11);
-    const std::uint64_t dstPort = decimalRank(key.dstPort, 5, 0);
-    constexpr std::uint64_t kPortSpan = 248'832;  // 12^5
-    return {(proto << 32 | key.srcAddr) * kPortSpan + srcPort,
-            std::uint64_t(key.dstAddr) * kPortSpan + dstPort};
+/// The flow's text form "proto/srcaddr:srcport>dstaddr:dstport", the
+/// firewall table's key before it was packed; eviction ties on `last`
+/// still go to the flow whose text sorts first.
+std::string flowText(const FlowKey& key) {
+    return util::format("%u/%08x:%u>%08x:%u", unsigned(key.proto), key.srcAddr,
+                        unsigned(key.srcPort), key.dstAddr, unsigned(key.dstPort));
 }
 
 }  // namespace
@@ -622,13 +596,13 @@ void UmtsNetwork::recordFlow(const FlowKey& key, std::uint32_t src) {
             for (auto victim = flows_.begin(); victim != flows_.end(); ++victim)
                 if (victim->second.last < oldest->second.last ||
                     (victim->second.last == oldest->second.last &&
-                     victim->second.rank < oldest->second.rank))
+                     victim->second.text < oldest->second.text))
                     oldest = victim;
             obs::Registry::instance().counter("guard.firewall.evicted").inc();
             eraseFlow(oldest);
         }
     }
-    flows_.emplace(key, FlowEntry{now, src, flowRank(key)});
+    flows_.emplace(key, FlowEntry{now, src, flowText(key)});
     ++flowsBySrc_[src];
 }
 

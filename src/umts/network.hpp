@@ -1,6 +1,5 @@
 #pragma once
 
-#include <compare>
 #include <map>
 #include <memory>
 #include <set>
@@ -32,13 +31,6 @@ struct FlowKey {
 
 struct FlowKeyHash {
     std::size_t operator()(const FlowKey& key) const noexcept;
-};
-
-/// Total order over flows for the firewall's eviction tie-break.
-struct FlowRank {
-    std::uint64_t high = 0;
-    std::uint64_t low = 0;
-    auto operator<=>(const FlowRank&) const = default;
 };
 
 /// One active PDP context: the UE's pipe into the operator network.
@@ -229,12 +221,12 @@ class UmtsNetwork {
     // subscriber src). Bounded by natGuard.maxFirewallFlows with
     // expired-first purge then oldest eviction; the per-subscriber
     // quota keeps one subscriber's flow spray from evicting a victim's
-    // state. Eviction ties on `last` go to the lowest `rank` (see
-    // flowRank in network.cpp), fixed when the flow is recorded.
+    // state. Eviction ties on `last` go to the lowest `text`, the
+    // flow's "%u/%08x:%u>%08x:%u" form, built once when it is recorded.
     struct FlowEntry {
         sim::SimTime last{0};
         std::uint32_t src = 0;
-        FlowRank rank;
+        std::string text;
     };
     using FlowTable = std::unordered_map<FlowKey, FlowEntry, FlowKeyHash>;
     void recordFlow(const FlowKey& key, std::uint32_t src);
